@@ -4,7 +4,7 @@ use crate::shell::ShellSpec;
 use leo_geo::coords::{Ecef, Eci};
 use leo_geo::{Angle, Epoch, Geodetic};
 use leo_orbit::propagate::ForceModel;
-use leo_orbit::{Propagator, Tle};
+use leo_orbit::{Propagator, RotationMemo, Tle};
 use serde::{Deserialize, Serialize};
 
 /// Stable identifier of a satellite within one [`Constellation`]: its index
@@ -180,15 +180,22 @@ impl Constellation {
         SatId(self.shell_offsets[shell as usize] + plane * spec.sats_per_plane + slot)
     }
 
-    /// ECEF positions of every satellite at `t` seconds after the epoch.
+    /// ECEF positions of every satellite at `t` seconds after the epoch,
+    /// bit-identical to each propagator's `position_ecef(t)`. The Earth
+    /// rotation's trigonometry is computed once per instant and the
+    /// orbital-plane rotations once per plane (see [`RotationMemo`]).
     pub fn snapshot(&self, t: f64) -> Snapshot {
-        let gmst = leo_geo::gmst(self.epoch, t);
+        let earth = (-leo_geo::gmst(self.epoch, t).radians()).sin_cos();
+        let mut memo = RotationMemo::default();
         Snapshot {
             time_s: t,
             positions: self
                 .satellites
                 .iter()
-                .map(|s| s.propagator.position_eci(t).to_ecef(gmst))
+                .map(|s| {
+                    let eci = s.propagator.state_with(t, &mut memo).position;
+                    Ecef(eci.0.rotate_z_by(earth))
+                })
                 .collect(),
         }
     }
@@ -229,7 +236,11 @@ impl Constellation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::presets;
     use crate::shell::WalkerPattern;
+    use leo_orbit::KeplerianElements;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn small() -> Constellation {
         Constellation::from_shells(
@@ -304,6 +315,88 @@ mod tests {
         for s in c.satellites() {
             let d = snap.position(s.id).0.distance(c.position_ecef(s.id, t).0);
             assert!(d < 1e-6);
+        }
+    }
+
+    /// `small()` at a Molniya TLE's epoch with that eccentric satellite,
+    /// imported through TLE text, spliced between the two shells — so
+    /// the snapshot's rotation memo crosses circular → eccentric →
+    /// circular planes.
+    fn with_tle_import() -> Constellation {
+        let mut molniya = KeplerianElements::circular(
+            0.0,
+            Angle::from_degrees(63.4),
+            Angle::from_degrees(120.0),
+            Angle::from_degrees(10.0),
+        );
+        molniya.semi_major_axis_m = 26_600e3;
+        molniya.eccentricity = 0.74;
+        molniya.arg_perigee = Angle::from_degrees(270.0);
+        let epoch = Epoch::from_calendar(2020, 11, 4, 6, 30, 0.0);
+        let text = Tle::synthesize("MOLNIYA 1-93", 28163, epoch, &molniya).format();
+        let tle = Tle::parse(&text).expect("round-trip");
+        let small = small();
+        let mut c = Constellation::from_shells_at(
+            "small + tle",
+            small.shells().to_vec(),
+            tle.epoch,
+            ForceModel::TwoBodyJ2,
+        );
+        c.satellites.insert(
+            12,
+            Satellite {
+                id: SatId(12),
+                shell: 0,
+                plane: 0,
+                slot: 0,
+                propagator: Propagator::new(tle.elements, tle.epoch),
+            },
+        );
+        for (i, s) in c.satellites.iter_mut().enumerate() {
+            s.id = SatId(i as u32);
+        }
+        c
+    }
+
+    fn bit_identity_fixtures() -> &'static [Constellation] {
+        static FIXTURES: OnceLock<Vec<Constellation>> = OnceLock::new();
+        FIXTURES.get_or_init(|| {
+            vec![
+                presets::starlink_phase1_conservative(),
+                Constellation::from_shells("kuiper", presets::kuiper_shells()),
+                Constellation::from_shells_at(
+                    "kuiper two-body",
+                    presets::kuiper_shells(),
+                    Epoch::J2000,
+                    ForceModel::TwoBody,
+                ),
+                with_tle_import(),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn prop_snapshot_is_bit_identical_to_per_satellite_propagation(
+            near in -20_000.0..20_000.0f64,
+            far in 1.0e6..1.0e8f64,
+        ) {
+            for c in bit_identity_fixtures() {
+                for t in [near, far, -far] {
+                    let snap = c.snapshot(t);
+                    for s in c.satellites() {
+                        let want = s.propagator.position_ecef(t).0;
+                        let got = snap.position(s.id).0;
+                        prop_assert!(
+                            [got.x, got.y, got.z].map(f64::to_bits)
+                                == [want.x, want.y, want.z].map(f64::to_bits),
+                            "{} {} at t={}: {:?} vs {:?}", c.name(), s.id, t, got, want
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -10,29 +10,50 @@ use leo_net::routing::{self, GroundEndpoint};
 use leo_net::visibility::{self, VisibleSat};
 use leo_net::{IslTopology, NetworkGraph, VisibilityIndex};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Propagated positions at one instant, paired with the spatial
-/// visibility index over them and the refreshed ISL routing weights of
-/// the service's compiled [`RoutingEngine`]. This is the unit the
-/// snapshot cache holds and what the sweep engine in `leo-sim` hands to
-/// its workers: one propagation + one index build + one weight refresh,
-/// shared by every query at that instant.
+/// One instant of the constellation as every query at that instant sees
+/// it: the unit the snapshot cache holds and the sweep engine in
+/// `leo-sim` hands to its workers. A view holds eagerly what every caller
+/// reads: the propagated positions, the visibility index over them and
+/// the instant's fault plan (~0.09 MB for the 1,584-satellite shell,
+/// ~0.25 MB for the 4,409-satellite Phase 1 constellation). It holds
+/// lazily what only routed queries read: the ISL weights of the service's
+/// [`RoutingEngine`] — per-edge and per-slot delays plus the refresh
+/// fingerprint, another ~0.12 MB or ~0.33 MB — refreshed, masked by the
+/// fault plan if any, on the first [`SnapshotView::isl_weights`],
+/// [`SnapshotView::sat_to_sat_delay`],
+/// [`SnapshotView::ground_to_ground_delay`] or
+/// [`SnapshotView::delays_from_all`] call and shared from then on.
 #[derive(Debug, Clone)]
 pub struct SnapshotView {
     snapshot: Snapshot,
     index: VisibilityIndex,
     engine: Arc<RoutingEngine>,
-    isl: IslWeights,
+    isl: OnceLock<IslWeights>,
     /// The outage mask at this instant, when the owning service carries
     /// a fault scenario. `None` keeps every code path on the exact
     /// pre-fault route.
     fault: Option<Arc<FaultPlan>>,
 }
 
+/// ISL weights at `snapshot`, masked by `plan` when one is given.
+fn refresh_weights(
+    engine: &RoutingEngine,
+    snapshot: &Snapshot,
+    plan: Option<&FaultPlan>,
+) -> IslWeights {
+    let mut weights = IslWeights::default();
+    match plan {
+        Some(plan) => engine.refresh_into_masked(snapshot, plan, &mut weights),
+        None => engine.refresh_into(snapshot, &mut weights),
+    }
+    weights
+}
+
 impl SnapshotView {
-    /// Builds a view by propagating `constellation` to `t` and refreshing
-    /// `engine`'s edge weights at that instant.
+    /// Builds a view by propagating `constellation` to `t`; `engine`'s
+    /// edge weights are refreshed at that instant on first use.
     pub fn build(
         constellation: &Constellation,
         engine: &Arc<RoutingEngine>,
@@ -42,8 +63,8 @@ impl SnapshotView {
     }
 
     /// [`SnapshotView::build`] under an optional fault scenario: the
-    /// scenario's plan at `t` masks the refreshed ISL weights and rides
-    /// along for the view's visibility and attachment queries.
+    /// scenario's plan at `t` masks the ISL weights and rides along for
+    /// the view's visibility and attachment queries.
     pub fn build_with(
         constellation: &Constellation,
         engine: &Arc<RoutingEngine>,
@@ -51,30 +72,12 @@ impl SnapshotView {
         faults: Option<&FaultConfig>,
     ) -> SnapshotView {
         let snapshot = constellation.snapshot(t);
-        let index = VisibilityIndex::build(constellation, &snapshot);
-        match faults {
-            None => {
-                let isl = engine.refresh(&snapshot);
-                SnapshotView {
-                    snapshot,
-                    index,
-                    engine: Arc::clone(engine),
-                    isl,
-                    fault: None,
-                }
-            }
-            Some(cfg) => {
-                let plan = cfg.plan_at(t);
-                let mut isl = IslWeights::default();
-                engine.refresh_into_masked(&snapshot, &plan, &mut isl);
-                SnapshotView {
-                    snapshot,
-                    index,
-                    engine: Arc::clone(engine),
-                    isl,
-                    fault: Some(Arc::new(plan)),
-                }
-            }
+        SnapshotView {
+            index: VisibilityIndex::build(constellation, &snapshot),
+            snapshot,
+            engine: Arc::clone(engine),
+            isl: OnceLock::new(),
+            fault: faults.map(|cfg| Arc::new(cfg.plan_at(t))),
         }
     }
 
@@ -99,9 +102,12 @@ impl SnapshotView {
         &self.engine
     }
 
-    /// The ISL edge weights refreshed for this instant.
+    /// The ISL edge weights at this instant, refreshed on the first call.
     pub fn isl_weights(&self) -> &IslWeights {
-        &self.isl
+        self.isl.get_or_init(|| {
+            leo_obs::counter!("service.isl_refreshes").incr();
+            refresh_weights(&self.engine, &self.snapshot, self.fault_plan())
+        })
     }
 
     /// Wires ground endpoints into the routing node space through this
@@ -120,7 +126,10 @@ impl SnapshotView {
     /// `links` is given. Early-exits at the target; `None` when
     /// disconnected.
     pub fn sat_to_sat_delay(&self, links: Option<&GroundLinks>, a: SatId, b: SatId) -> Option<f64> {
-        with_thread_arena(|arena| self.engine.sat_to_sat_delay(&self.isl, links, a, b, arena))
+        with_thread_arena(|arena| {
+            self.engine
+                .sat_to_sat_delay(self.isl_weights(), links, a, b, arena)
+        })
     }
 
     /// One-way delay between two attached ground endpoints (by slot in
@@ -129,7 +138,7 @@ impl SnapshotView {
     pub fn ground_to_ground_delay(&self, links: &GroundLinks, a: usize, b: usize) -> Option<f64> {
         with_thread_arena(|arena| {
             self.engine
-                .ground_to_ground_delay(&self.isl, links, a, b, arena)
+                .ground_to_ground_delay(self.isl_weights(), links, a, b, arena)
         })
     }
 
@@ -137,7 +146,10 @@ impl SnapshotView {
     /// satellite (`result[ground][sat]`, `INFINITY` when unreachable),
     /// all rows sharing this worker's arena.
     pub fn delays_from_all(&self, links: &GroundLinks) -> Vec<Vec<f64>> {
-        with_thread_arena(|arena| self.engine.delays_from_all(&self.isl, links, arena))
+        with_thread_arena(|arena| {
+            self.engine
+                .delays_from_all(self.isl_weights(), links, arena)
+        })
     }
 
     /// One settled satellite-major frontier pass over `set`: the nearest
@@ -184,7 +196,12 @@ impl SnapshotView {
 /// How many instants the snapshot cache holds before it is cleared.
 /// Sweeps (121 sample times shared across ~91 ground points in Fig 1)
 /// fit comfortably; hour-long 1 s-tick sessions stream through, clearing
-/// a few times, which costs re-propagation but bounds memory.
+/// a few times, which costs re-propagation but bounds memory. A cached
+/// view costs its positions and visibility index (~0.25 MB on the
+/// 4,409-satellite Phase 1 constellation), plus ~0.33 MB of ISL weights
+/// only once a routed query has touched it (see [`SnapshotView`]): a
+/// full cache holds at most ~0.6 GB, and ~0.26 GB when, as in 1 s-tick
+/// sessions, only the hand-off instants are routed.
 const SNAPSHOT_CACHE_CAP: usize = 1024;
 
 /// A LEO constellation operated as an in-orbit computing provider: every
@@ -214,7 +231,9 @@ pub struct InOrbitService {
     topology: IslTopology,
     engine: Arc<RoutingEngine>,
     faults: Option<Arc<FaultConfig>>,
-    cache: Mutex<HashMap<u64, Arc<SnapshotView>>>,
+    /// One slot per instant; the first caller builds it, concurrent
+    /// callers wait on that build.
+    cache: Mutex<HashMap<u64, Arc<OnceLock<Arc<SnapshotView>>>>>,
 }
 
 impl Clone for InOrbitService {
@@ -273,41 +292,35 @@ impl InOrbitService {
     }
 
     /// The cached [`SnapshotView`] at `t` seconds after the epoch,
-    /// propagating and indexing on first use. Distinct times propagate
-    /// concurrently: the cache lock is held only for lookup and insert,
-    /// not during propagation.
+    /// propagating and indexing on first use. Each instant is built once:
+    /// callers racing for one instant wait on a single build, and distinct
+    /// instants build concurrently, since the cache lock is held only to
+    /// find or insert the instant's slot. `service.snapshot_misses` counts
+    /// builds and `service.snapshot_hits` every other call.
     pub fn view(&self, t: f64) -> Arc<SnapshotView> {
         let key = t.to_bits();
-        if let Some(v) = self.cache.lock().expect("cache lock").get(&key) {
+        let slot = {
+            let mut cache = self.cache.lock().expect("cache lock");
+            if cache.len() >= SNAPSHOT_CACHE_CAP && !cache.contains_key(&key) {
+                cache.clear();
+            }
+            Arc::clone(cache.entry(key).or_default())
+        };
+        let mut built = false;
+        let view = slot.get_or_init(|| {
+            built = true;
+            leo_obs::counter!("service.snapshot_misses").incr();
+            Arc::new(SnapshotView::build_with(
+                &self.constellation,
+                &self.engine,
+                t,
+                self.faults.as_deref(),
+            ))
+        });
+        if !built {
             leo_obs::counter!("service.snapshot_hits").incr();
-            return Arc::clone(v);
         }
-        let built = Arc::new(SnapshotView::build_with(
-            &self.constellation,
-            &self.engine,
-            t,
-            self.faults.as_deref(),
-        ));
-        let mut cache = self.cache.lock().expect("cache lock");
-        if cache.len() >= SNAPSHOT_CACHE_CAP {
-            cache.clear();
-        }
-        // Two threads may race to build the same instant; keep the first
-        // insert so all holders share one allocation. Hit/miss is
-        // classified by who *inserts* (the race loser counts a hit even
-        // though it built), so the totals per instant — one miss, k−1
-        // hits for k calls — do not depend on thread interleaving. The
-        // CI determinism check relies on this.
-        match cache.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                leo_obs::counter!("service.snapshot_hits").incr();
-                Arc::clone(e.get())
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                leo_obs::counter!("service.snapshot_misses").incr();
-                Arc::clone(e.insert(built))
-            }
-        }
+        Arc::clone(view)
     }
 
     /// The underlying constellation.
@@ -366,20 +379,6 @@ impl InOrbitService {
             .map(|cfg| cfg.plan_at(snapshot.time_s))
     }
 
-    /// ISL weights for a prebuilt snapshot, masked by the service's fault
-    /// scenario when one is set.
-    fn refresh_for(&self, snapshot: &Snapshot, plan: Option<&FaultPlan>) -> IslWeights {
-        match plan {
-            Some(plan) => {
-                let mut weights = IslWeights::default();
-                self.engine
-                    .refresh_into_masked(snapshot, plan, &mut weights);
-                weights
-            }
-            None => self.engine.refresh(snapshot),
-        }
-    }
-
     /// Ground attachment for a prebuilt snapshot, honoring the fault
     /// scenario when one is set.
     fn attach_for(
@@ -415,7 +414,7 @@ impl InOrbitService {
     /// already refreshed in the cached [`SnapshotView`].
     pub fn user_delays(&self, snapshot: &Snapshot, users: &[GroundEndpoint]) -> Vec<Vec<f64>> {
         let plan = self.plan_in(snapshot);
-        let weights = self.refresh_for(snapshot, plan.as_ref());
+        let weights = refresh_weights(&self.engine, snapshot, plan.as_ref());
         let links = self.attach_for(snapshot, users, plan.as_ref());
         with_thread_arena(|arena| self.engine.delays_from_all(&weights, &links, arena))
     }
@@ -439,7 +438,7 @@ impl InOrbitService {
                 return None;
             }
         }
-        let weights = self.refresh_for(snapshot, plan.as_ref());
+        let weights = refresh_weights(&self.engine, snapshot, plan.as_ref());
         with_thread_arena(|arena| self.engine.sat_to_sat_delay(&weights, None, a, b, arena))
     }
 
@@ -479,7 +478,7 @@ impl InOrbitService {
                 return None;
             }
         }
-        let weights = self.refresh_for(snapshot, plan.as_ref());
+        let weights = refresh_weights(&self.engine, snapshot, plan.as_ref());
         let links = self.attach_for(snapshot, grounds, plan.as_ref());
         with_thread_arena(|arena| {
             self.engine

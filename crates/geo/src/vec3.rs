@@ -108,7 +108,13 @@ impl Vec3 {
     /// Rotates the vector about the +z axis by `angle` radians
     /// (counter-clockwise looking down +z).
     pub fn rotate_z(self, angle: f64) -> Vec3 {
-        let (s, c) = angle.sin_cos();
+        self.rotate_z_by(angle.sin_cos())
+    }
+
+    /// [`Vec3::rotate_z`] by the angle whose `(sin, cos)` is given, so a
+    /// caller rotating many vectors by one angle pays its trigonometry
+    /// once. Bit-identical to `rotate_z` of that angle.
+    pub fn rotate_z_by(self, (s, c): (f64, f64)) -> Vec3 {
         Vec3 {
             x: c * self.x - s * self.y,
             y: s * self.x + c * self.y,
@@ -118,7 +124,11 @@ impl Vec3 {
 
     /// Rotates the vector about the +x axis by `angle` radians.
     pub fn rotate_x(self, angle: f64) -> Vec3 {
-        let (s, c) = angle.sin_cos();
+        self.rotate_x_by(angle.sin_cos())
+    }
+
+    /// [`Vec3::rotate_x`] by the angle whose `(sin, cos)` is given.
+    pub fn rotate_x_by(self, (s, c): (f64, f64)) -> Vec3 {
         Vec3 {
             x: self.x,
             y: c * self.y - s * self.z,

@@ -32,5 +32,5 @@ pub mod propagate;
 pub mod tle;
 
 pub use elements::KeplerianElements;
-pub use propagate::{Propagator, StateVector};
+pub use propagate::{Propagator, RotationMemo, StateVector};
 pub use tle::Tle;

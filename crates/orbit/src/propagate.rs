@@ -72,6 +72,37 @@ pub enum ForceModel {
     TwoBody,
 }
 
+/// `sin_cos` of the last angle seen, keyed by the angle's bits.
+#[derive(Debug, Clone, Copy, Default)]
+struct SinCosMemo {
+    bits: Option<u64>,
+    sin_cos: (f64, f64),
+}
+
+impl SinCosMemo {
+    fn of(&mut self, radians: f64) -> (f64, f64) {
+        if self.bits != Some(radians.to_bits()) {
+            self.bits = Some(radians.to_bits());
+            self.sin_cos = radians.sin_cos();
+        }
+        self.sin_cos
+    }
+}
+
+/// The trigonometry of the perifocal → ECI rotation, carried from one
+/// [`Propagator::state_with`] call to the next. Satellites of one orbital
+/// plane share their inclination, drifted RAAN and drifted argument of
+/// perigee at an instant, so propagating a constellation in id order with
+/// one memo pays each rotation's `sin_cos` once per plane, not once per
+/// satellite. An angle is reused only when its bits are equal, so the
+/// result is bit-identical to a fresh memo.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RotationMemo {
+    argp: SinCosMemo,
+    incl: SinCosMemo,
+    raan: SinCosMemo,
+}
+
 /// Propagates one satellite's Keplerian elements to state vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Propagator {
@@ -118,6 +149,13 @@ impl Propagator {
 
     /// ECI state (position + velocity) at `t` seconds after the epoch.
     pub fn state_at(&self, t: f64) -> StateVector {
+        self.state_with(t, &mut RotationMemo::default())
+    }
+
+    /// [`Propagator::state_at`], reusing the rotation trigonometry `memo`
+    /// carries over from the previous call. This is the one propagation
+    /// kernel: `state_at` and whole-constellation snapshots both run it.
+    pub fn state_with(&self, t: f64, memo: &mut RotationMemo) -> StateVector {
         let e = &self.elements;
         let ecc = e.eccentricity;
 
@@ -145,11 +183,10 @@ impl Propagator {
         );
 
         // Perifocal → ECI: Rz(raan) · Rx(incl) · Rz(argp).
-        let rot = |v: Vec3| {
-            v.rotate_z(argp.radians())
-                .rotate_x(e.inclination.radians())
-                .rotate_z(raan.radians())
-        };
+        let argp = memo.argp.of(argp.radians());
+        let incl = memo.incl.of(e.inclination.radians());
+        let raan = memo.raan.of(raan.radians());
+        let rot = |v: Vec3| v.rotate_z_by(argp).rotate_x_by(incl).rotate_z_by(raan);
         StateVector {
             position: Eci(rot(pos_pf)),
             velocity: rot(vel_pf),

@@ -209,13 +209,22 @@ impl<'a> TimeSweep<'a> {
     pub fn prepare(&self) -> Vec<Arc<SnapshotView>> {
         let _span = leo_obs::span!("sim.prepare_s");
         leo_obs::counter!("sim.sweep_instants").add(self.times.len() as u64);
-        let views = parallel_map(self.times.clone(), self.threads, |&t| self.service.view(t));
+        let metrics = leo_obs::metrics_enabled();
+        let views = parallel_map(self.times.clone(), self.threads, |&t| {
+            let view = self.service.view(t);
+            if metrics {
+                // Views refresh their ISL weights on first use; refresh
+                // them here, in parallel, for the gauge below.
+                view.isl_weights();
+            }
+            view
+        });
         // Per-instant gauge of the CSR engine's usable ISL edges —
         // sampled here on the main thread, in schedule order, after the
         // parallel build (so the series is thread-count-invariant). A
         // fault plan cutting links or killing satellites shows up as
         // steps in this curve.
-        if leo_obs::metrics_enabled() {
+        if metrics {
             for (t, view) in self.times.iter().zip(&views) {
                 leo_obs::timeseries!("engine.isl_active_edges")
                     .sample(*t, view.isl_weights().active_edges() as f64);
