@@ -23,8 +23,8 @@ use leo_net::congestion::{
     WindowedFlow,
 };
 use leo_net::des::{uncontended_transfer_s, Link};
-use leo_net::graph::NodeId;
-use leo_net::routing::{self, GroundEndpoint};
+use leo_net::engine::with_thread_arena;
+use leo_net::routing::GroundEndpoint;
 use serde::{Deserialize, Serialize};
 
 /// One predicted serving interval.
@@ -207,7 +207,7 @@ pub struct MigrationNetConfig {
     /// fraction of `isl_rate_bps`. Open-loop: it does not back off.
     pub cross_load_frac: f64,
     /// Route-refresh cadence, seconds: every `segment_s` the ISL route is
-    /// rebuilt from the constellation snapshot at that instant. Packets in
+    /// recomputed over the service's view at that instant. Packets in
     /// flight across a route change are lost (handover loss) and the
     /// window restarts halved.
     pub segment_s: f64,
@@ -270,10 +270,12 @@ pub struct MigrationOutcome {
 /// [`uncontended_transfer_s`] bound.
 ///
 /// The transfer is simulated in segments of [`MigrationNetConfig::segment_s`]
-/// seconds. For each segment the shortest ISL route is rebuilt from the
-/// constellation snapshot at the segment's start (link propagation delays
-/// from actual inter-satellite distances, capacity and queueing from the
-/// config), an independent open-loop cross-traffic flow is placed on every
+/// seconds. For each segment the shortest ISL route is taken over the ISL
+/// weights of the service's view at the segment's start — masked by the
+/// service's fault plan, so the state never crosses a dead satellite or a
+/// cut link — with link propagation delays from actual inter-satellite
+/// distances and capacity and queueing from the config. An independent
+/// open-loop cross-traffic flow is placed on every
 /// hop, and the windowed sender moves as much of the remaining state as
 /// the segment allows. Packets in flight when the segment ends are lost —
 /// the handover-loss case — and the window restarts halved on the next
@@ -281,6 +283,11 @@ pub struct MigrationOutcome {
 ///
 /// Deterministic: identical inputs produce identical outcomes, independent
 /// of thread count or observability level.
+///
+/// # Panics
+/// Panics on a non-positive or non-finite size, a non-finite start, a
+/// non-positive segment length, or a `from`/`to` that is not a satellite
+/// of the service.
 pub fn migrate_via_packets(
     service: &InOrbitService,
     from: SatId,
@@ -302,6 +309,14 @@ pub fn migrate_via_packets(
         "segment length must be positive and finite, got {}",
         cfg.segment_s
     );
+    let num_sats = service.num_servers();
+    for s in [from, to] {
+        assert!(
+            (s.0 as usize) < num_sats,
+            "satellite {} out of range for {num_sats} satellites",
+            s.0
+        );
+    }
     let total_packets = ((size_bytes * 8.0) / cfg.packet_bits).ceil().max(1.0) as u64;
     let mut outcome = MigrationOutcome {
         duration_s: None,
@@ -325,36 +340,36 @@ pub fn migrate_via_packets(
 
     let mut remaining = total_packets;
     let mut elapsed_s = 0.0;
-    let mut prev_route: Option<Vec<NodeId>> = None;
+    let mut prev_route: Option<Vec<SatId>> = None;
     let mut carried_cwnd: Option<f64> = None;
 
     for seg in 0..cfg.max_segments {
         let seg_start = start_s + elapsed_s;
         let view = service.view(seg_start);
-        let graph = service.graph(view.snapshot(), &[]);
-        let Some(path) = routing::sat_to_sat(&graph, from, to) else {
+        let route = with_thread_arena(|arena| {
+            view.engine()
+                .sat_to_sat_path(view.isl_weights(), from, to, arena)
+        });
+        let Some((_, route)) = route else {
             // No route this segment; wait for the topology to change.
             outcome.segments = seg + 1;
             elapsed_s += cfg.segment_s;
             prev_route = None;
             continue;
         };
-        let route_changed = prev_route.as_deref().is_some_and(|r| r != path.nodes);
+        let route_changed = prev_route.as_ref().is_some_and(|r| *r != route);
         if route_changed {
             outcome.route_changes += 1;
         }
 
         // Materialize the route as congestion links: configured capacity
         // and queueing, propagation from the actual hop geometry.
-        let links: Vec<CongestionLink> = path
-            .nodes
+        let snap = view.snapshot();
+        let links: Vec<CongestionLink> = route
             .windows(2)
             .map(|pair| {
-                let (NodeId::Sat(a), NodeId::Sat(b)) = (pair[0], pair[1]) else {
-                    unreachable!("sat-to-sat routes stay on the ISL mesh")
-                };
-                let snap = view.snapshot();
-                let prop_s = snap.position(a).distance_m(snap.position(b)) / SPEED_OF_LIGHT_M_S;
+                let prop_s =
+                    snap.position(pair[0]).distance_m(snap.position(pair[1])) / SPEED_OF_LIGHT_M_S;
                 let link = CongestionLink::new(cfg.isl_rate_bps, prop_s, cfg.queue_packets);
                 match cfg.ecn_threshold {
                     Some(t) => link.with_ecn(t.min(cfg.queue_packets)),
@@ -435,7 +450,7 @@ pub fn migrate_via_packets(
         remaining -= stats.delivered;
         elapsed_s += cfg.segment_s;
         carried_cwnd = Some(stats.final_cwnd);
-        prev_route = Some(path.nodes);
+        prev_route = Some(route);
     }
     outcome
 }
@@ -559,6 +574,12 @@ mod tests {
         assert_eq!(out.duration_s, Some(0.0));
         assert_eq!(out.transmissions, 0);
         assert_eq!(out.packets, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "satellite 9999 out of range")]
+    fn migrating_to_an_unknown_satellite_is_rejected() {
+        migrate_via_packets(&service(), SatId(0), SatId(9999), 0.0, 1e6, &mig_cfg());
     }
 
     #[test]

@@ -396,7 +396,7 @@ mod tests {
     fn nearest_assignments_agree_with_single_user_minmax() {
         let s = InOrbitService::new(presets::starlink_550_only());
         let users = west_africa_users();
-        let direct = s.user_direct_delays(&s.snapshot(30.0), &users);
+        let direct = s.user_direct_delays_view(&s.view(30.0), &users);
         let picks = nearest_assignments(&direct);
         for (row, pick) in direct.iter().zip(&picks) {
             let single = GroupDelays::from_user_delays(std::slice::from_ref(row));

@@ -37,20 +37,6 @@ pub struct SnapshotView {
     fault: Option<Arc<FaultPlan>>,
 }
 
-/// ISL weights at `snapshot`, masked by `plan` when one is given.
-fn refresh_weights(
-    engine: &RoutingEngine,
-    snapshot: &Snapshot,
-    plan: Option<&FaultPlan>,
-) -> IslWeights {
-    let mut weights = IslWeights::default();
-    match plan {
-        Some(plan) => engine.refresh_into_masked(snapshot, plan, &mut weights),
-        None => engine.refresh_into(snapshot, &mut weights),
-    }
-    weights
-}
-
 impl SnapshotView {
     /// Builds a view by propagating `constellation` to `t`; `engine`'s
     /// edge weights are refreshed at that instant on first use.
@@ -106,7 +92,14 @@ impl SnapshotView {
     pub fn isl_weights(&self) -> &IslWeights {
         self.isl.get_or_init(|| {
             leo_obs::counter!("service.isl_refreshes").incr();
-            refresh_weights(&self.engine, &self.snapshot, self.fault_plan())
+            let mut weights = IslWeights::default();
+            match self.fault_plan() {
+                Some(plan) => self
+                    .engine
+                    .refresh_into_masked(&self.snapshot, plan, &mut weights),
+                None => self.engine.refresh_into(&self.snapshot, &mut weights),
+            }
+            weights
         })
     }
 
@@ -297,7 +290,11 @@ impl InOrbitService {
     /// instants build concurrently, since the cache lock is held only to
     /// find or insert the instant's slot. `service.snapshot_misses` counts
     /// builds and `service.snapshot_hits` every other call.
+    ///
+    /// # Panics
+    /// Panics on a non-finite `t`.
     pub fn view(&self, t: f64) -> Arc<SnapshotView> {
+        assert!(t.is_finite(), "view time must be finite, got {t}");
         let key = t.to_bits();
         let slot = {
             let mut cache = self.cache.lock().expect("cache lock");
@@ -379,71 +376,27 @@ impl InOrbitService {
             .map(|cfg| cfg.plan_at(snapshot.time_s))
     }
 
-    /// Ground attachment for a prebuilt snapshot, honoring the fault
-    /// scenario when one is set.
-    fn attach_for(
-        &self,
-        snapshot: &Snapshot,
-        grounds: &[GroundEndpoint],
-        plan: Option<&FaultPlan>,
-    ) -> GroundLinks {
-        match plan {
-            Some(plan) => {
-                self.engine
-                    .attach_scan_masked(&self.constellation, snapshot, grounds, plan)
-            }
-            None => self
-                .engine
-                .attach_scan(&self.constellation, snapshot, grounds),
-        }
-    }
-
-    /// The full network graph at a snapshot with the given ground
-    /// endpoints attached.
+    /// The full `HashMap`-backed network graph at a snapshot with the
+    /// given ground endpoints attached — the reference oracle the CSR
+    /// engine is checked against. Unmasked by any fault plan; no
+    /// production path routes over it.
     pub fn graph(&self, snapshot: &Snapshot, grounds: &[GroundEndpoint]) -> NetworkGraph {
         routing::build_graph(&self.constellation, &self.topology, snapshot, grounds)
     }
 
     /// One-way delays (seconds) from each ground endpoint to every
-    /// satellite at a snapshot: `result[user][sat_id]`, `INFINITY` when
-    /// unreachable. The bulk query behind meetup-server selection.
-    ///
-    /// Engine-backed adapter: refreshes ISL weights from `snapshot` on
-    /// each call. Sweep code should prefer
-    /// [`InOrbitService::user_delays_view`], which reuses the weights
-    /// already refreshed in the cached [`SnapshotView`].
-    pub fn user_delays(&self, snapshot: &Snapshot, users: &[GroundEndpoint]) -> Vec<Vec<f64>> {
-        let plan = self.plan_in(snapshot);
-        let weights = refresh_weights(&self.engine, snapshot, plan.as_ref());
-        let links = self.attach_for(snapshot, users, plan.as_ref());
-        with_thread_arena(|arena| self.engine.delays_from_all(&weights, &links, arena))
-    }
-
-    /// [`InOrbitService::user_delays`] against a prebuilt view: one
-    /// shared weight refresh per instant, arena-backed Dijkstra per row.
+    /// satellite at the view's instant: `result[user][sat_id]`, `INFINITY`
+    /// when unreachable. The bulk query behind meetup-server selection:
+    /// one shared weight refresh per instant, arena-backed Dijkstra per
+    /// row.
     pub fn user_delays_view(&self, view: &SnapshotView, users: &[GroundEndpoint]) -> Vec<Vec<f64>> {
         let links = view.attach(users);
         view.delays_from_all(&links)
     }
 
     /// One-way delay (seconds) between two satellite-servers over the ISL
-    /// mesh at a snapshot, or `None` when disconnected.
-    pub fn server_to_server_delay(&self, snapshot: &Snapshot, a: SatId, b: SatId) -> Option<f64> {
-        if a == b {
-            return Some(0.0);
-        }
-        let plan = self.plan_in(snapshot);
-        if let Some(p) = &plan {
-            if p.sat_dead(a) || p.sat_dead(b) {
-                return None;
-            }
-        }
-        let weights = refresh_weights(&self.engine, snapshot, plan.as_ref());
-        with_thread_arena(|arena| self.engine.sat_to_sat_delay(&weights, None, a, b, arena))
-    }
-
-    /// [`InOrbitService::server_to_server_delay`] against a prebuilt
-    /// view, reusing its refreshed weights.
+    /// mesh at the view's instant, or `None` when disconnected (a dead
+    /// endpoint under the fault plan is disconnected).
     pub fn server_to_server_delay_view(
         &self,
         view: &SnapshotView,
@@ -462,32 +415,6 @@ impl InOrbitService {
     /// meetup-servers both sit above the same user group, so the
     /// via-ground bounce often beats winding across the +Grid between an
     /// ascending and a descending plane.
-    pub fn migration_delay(
-        &self,
-        snapshot: &Snapshot,
-        grounds: &[GroundEndpoint],
-        a: SatId,
-        b: SatId,
-    ) -> Option<f64> {
-        if a == b {
-            return Some(0.0);
-        }
-        let plan = self.plan_in(snapshot);
-        if let Some(p) = &plan {
-            if p.sat_dead(a) || p.sat_dead(b) {
-                return None;
-            }
-        }
-        let weights = refresh_weights(&self.engine, snapshot, plan.as_ref());
-        let links = self.attach_for(snapshot, grounds, plan.as_ref());
-        with_thread_arena(|arena| {
-            self.engine
-                .sat_to_sat_delay(&weights, Some(&links), a, b, arena)
-        })
-    }
-
-    /// [`InOrbitService::migration_delay`] against a prebuilt view,
-    /// reusing its refreshed weights and spatial index.
     pub fn migration_delay_view(
         &self,
         view: &SnapshotView,
@@ -508,41 +435,9 @@ impl InOrbitService {
     ///
     /// This is the paper's gateway-free session model (§3.2: "user
     /// terminals can communicate directly via satellites without any
-    /// gateway intervention") — and it needs no graph construction, so
-    /// per-tick session costs stay tiny.
-    pub fn user_direct_delays(
-        &self,
-        snapshot: &Snapshot,
-        users: &[GroundEndpoint],
-    ) -> Vec<Vec<f64>> {
-        let plan = self.plan_in(snapshot);
-        users
-            .iter()
-            .map(|u| {
-                let mut row = vec![f64::INFINITY; self.constellation.num_satellites()];
-                let visible = match &plan {
-                    Some(plan) => visibility::visible_sats_masked(
-                        &self.constellation,
-                        snapshot,
-                        u.geodetic,
-                        u.ecef,
-                        plan,
-                    ),
-                    None => {
-                        visibility::visible_sats(&self.constellation, snapshot, u.geodetic, u.ecef)
-                    }
-                };
-                for v in visible {
-                    row[v.id.0 as usize] = v.delay_s();
-                }
-                row
-            })
-            .collect()
-    }
-
-    /// [`InOrbitService::user_direct_delays`] answered through a
-    /// [`SnapshotView`]'s spatial index — the per-tick hot path of the
-    /// session runner and the Sticky lookahead.
+    /// gateway intervention"), answered through the view's spatial index
+    /// — the per-tick hot path of the session runner and the Sticky
+    /// lookahead.
     pub fn user_direct_delays_view(
         &self,
         view: &SnapshotView,
@@ -668,8 +563,7 @@ mod tests {
             GroundEndpoint::new(0, Geodetic::ground(9.06, 7.49)),
             GroundEndpoint::new(1, Geodetic::ground(3.87, 11.52)),
         ];
-        let snap = s.snapshot(0.0);
-        let delays = s.user_delays(&snap, &users);
+        let delays = s.user_delays_view(&s.view(0.0), &users);
         assert_eq!(delays.len(), 2);
         assert_eq!(delays[0].len(), s.num_servers());
         // Shell is ISL-connected, so every server is reachable.
@@ -679,16 +573,16 @@ mod tests {
     #[test]
     fn server_to_server_delay_is_symmetric_and_zero_on_diagonal() {
         let s = service();
-        let snap = s.snapshot(100.0);
+        let view = s.view(100.0);
         assert_eq!(
-            s.server_to_server_delay(&snap, SatId(5), SatId(5)),
+            s.server_to_server_delay_view(&view, SatId(5), SatId(5)),
             Some(0.0)
         );
         let ab = s
-            .server_to_server_delay(&snap, SatId(0), SatId(700))
+            .server_to_server_delay_view(&view, SatId(0), SatId(700))
             .unwrap();
         let ba = s
-            .server_to_server_delay(&snap, SatId(700), SatId(0))
+            .server_to_server_delay_view(&view, SatId(700), SatId(0))
             .unwrap();
         assert!((ab - ba).abs() < 1e-12);
         assert!(ab > 0.0);
@@ -715,9 +609,24 @@ mod tests {
             GroundEndpoint::new(1, Geodetic::ground(-33.9, 18.4)),
         ];
         let view = s.view(777.0);
-        let brute = s.user_direct_delays(view.snapshot(), &users);
+        let brute: Vec<Vec<f64>> = users
+            .iter()
+            .map(|u| {
+                let mut row = vec![f64::INFINITY; s.num_servers()];
+                for v in s.reachable_servers_in(view.snapshot(), u.geodetic) {
+                    row[v.id.0 as usize] = v.delay_s();
+                }
+                row
+            })
+            .collect();
         let indexed = s.user_direct_delays_view(&view, &users);
         assert_eq!(brute, indexed);
+    }
+
+    #[test]
+    #[should_panic(expected = "view time must be finite")]
+    fn nan_view_time_is_rejected() {
+        service().view(f64::NAN);
     }
 
     #[test]
@@ -740,10 +649,9 @@ mod tests {
             faulted.reachable_servers(g, 60.0)
         );
         let users = [GroundEndpoint::new(0, g)];
-        let snap = plain.snapshot(60.0);
         assert_eq!(
-            plain.user_delays(&snap, &users),
-            faulted.user_delays(&faulted.snapshot(60.0), &users)
+            plain.user_delays_view(&plain.view(60.0), &users),
+            faulted.user_delays_view(&faulted.view(60.0), &users)
         );
         assert!(faulted.view(60.0).fault_plan().unwrap().is_empty());
     }
@@ -766,9 +674,10 @@ mod tests {
             .reachable_servers_in(&snap, g)
             .iter()
             .all(|v| v.id != victim));
-        assert_eq!(s.server_to_server_delay(&snap, SatId(0), victim), None);
+        let view = s.view(0.0);
+        assert_eq!(s.server_to_server_delay_view(&view, SatId(0), victim), None);
         let users = [GroundEndpoint::new(0, g)];
-        let delays = s.user_delays(&snap, &users);
+        let delays = s.user_delays_view(&view, &users);
         assert!(delays[0][victim.0 as usize].is_infinite());
         let direct = s.user_direct_delays_view(&s.view(0.0), &users);
         assert!(direct[0][victim.0 as usize].is_infinite());
@@ -790,10 +699,10 @@ mod tests {
         assert_eq!(up, plain.user_direct_delays_view(&plain.view(0.0), &users));
         // But the cut edge itself is gone from the mesh.
         let before = plain
-            .server_to_server_delay(&plain.snapshot(0.0), SatId(0), SatId(1))
+            .server_to_server_delay_view(&plain.view(0.0), SatId(0), SatId(1))
             .unwrap();
         let after = s
-            .server_to_server_delay(&s.snapshot(0.0), SatId(0), SatId(1))
+            .server_to_server_delay_view(&view, SatId(0), SatId(1))
             .unwrap();
         assert!(after >= before);
     }
@@ -802,10 +711,10 @@ mod tests {
     fn direct_visibility_gives_single_hop_minimum_delay() {
         let s = service();
         let g = Geodetic::ground(0.0, 0.0);
-        let snap = s.snapshot(0.0);
-        let direct = s.reachable_servers_in(&snap, g);
+        let view = s.view(0.0);
+        let direct = s.reachable_servers_in(view.snapshot(), g);
         let users = [GroundEndpoint::new(0, g)];
-        let delays = &s.user_delays(&snap, &users)[0];
+        let delays = &s.user_delays_view(&view, &users)[0];
         for v in direct {
             // The graph delay to a directly visible satellite equals the
             // direct slant-range delay (straight line beats any relay).

@@ -12,15 +12,19 @@
 //!    service with no fault layer at all.
 //! 3. **Fade-forced re-selection** — Sticky drops a held server whose
 //!    access link rains out, not just one that dies or sets.
+//! 4. **Fault-aware migration** — packet-level state migration routes
+//!    every segment around dead satellites and cut ISLs, exactly as the
+//!    masked reference graph does.
 
 use leo_constellation::{presets, SatId};
+use leo_core::replication::{migrate_via_packets, MigrationNetConfig, MigrationOutcome};
 use leo_core::session::run_session;
 use leo_core::{FailureModel, InOrbitService, Policy, SessionConfig};
 use leo_geo::Geodetic;
-use leo_net::routing::GroundEndpoint;
+use leo_net::routing::{self, GroundEndpoint};
 use leo_net::visibility::visible_sats_masked;
 use leo_net::weather::LinkBudget;
-use leo_net::{FaultConfig, FaultPlan, NetworkGraph, NodeId, RainFade};
+use leo_net::{FaultConfig, FaultPlan, NetworkGraph, NodeId, Path, RainFade};
 
 fn users() -> Vec<GroundEndpoint> {
     vec![
@@ -179,10 +183,133 @@ fn dead_endpoints_are_unreachable_not_rerouted() {
     for &d in dead.iter().take(5) {
         assert_eq!(view.sat_to_sat_delay(None, SatId(0), d), None);
         assert_eq!(
-            service.server_to_server_delay(view.snapshot(), SatId(0), d),
+            service.server_to_server_delay_view(&view, SatId(0), d),
             None
         );
     }
+}
+
+/// The satellites of an ISL-only reference path.
+fn sat_route(path: &Path) -> Vec<SatId> {
+    path.nodes
+        .iter()
+        .map(|n| match n {
+            NodeId::Sat(s) => *s,
+            NodeId::Ground(_) => unreachable!("no grounds attached"),
+        })
+        .collect()
+}
+
+/// A transfer slow enough to span several 2 s route segments.
+fn slow_migration() -> MigrationNetConfig {
+    MigrationNetConfig {
+        isl_rate_bps: 50e6,
+        packet_bits: 48_000.0,
+        segment_s: 2.0,
+        max_segments: 12,
+        ..MigrationNetConfig::default()
+    }
+}
+
+/// Checks a migration outcome against the masked reference graph: the
+/// reference route at every segment start avoids the mask, the first
+/// segment's route has the reference's hop count and delay, and the
+/// route changes between segments exactly when the reference route does.
+fn assert_migration_follows_the_mask(
+    service: &InOrbitService,
+    from: SatId,
+    to: SatId,
+    size_bytes: f64,
+    cfg: &MigrationNetConfig,
+    out: &MigrationOutcome,
+) {
+    assert!(out.duration_s.is_some(), "transfer must complete: {out:?}");
+    assert!(out.segments > 1, "transfer should span segments: {out:?}");
+    let mut routes = Vec::new();
+    for seg in 0..out.segments {
+        let view = service.view(seg as f64 * cfg.segment_s);
+        let plan = view.fault_plan().expect("fault service carries a plan");
+        let reference = reference_graph(service, view.snapshot(), &[], plan);
+        let path = reference
+            .shortest_path(NodeId::Sat(from), NodeId::Sat(to))
+            .expect("masked mesh stays connected");
+        let sats = sat_route(&path);
+        for pair in sats.windows(2) {
+            assert!(!plan.isl_edge_masked(pair[0], pair[1]));
+        }
+        routes.push((path.delay_s, sats));
+    }
+    let (delay_s, first) = &routes[0];
+    assert_eq!(out.hops, first.len() - 1, "first route hop count");
+    let serialization_s = out.hops as f64 * size_bytes * 8.0 / cfg.isl_rate_bps;
+    let prop_s = out.analytic_message_s - serialization_s;
+    assert!(
+        (prop_s - delay_s).abs() <= 1e-9 * delay_s,
+        "first route propagation {prop_s} vs masked reference {delay_s}"
+    );
+    let changes = routes.windows(2).filter(|w| w[0].1 != w[1].1).count();
+    assert_eq!(out.route_changes, changes, "route changes per segment");
+}
+
+#[test]
+fn migration_routes_around_dead_satellites_and_cut_links() {
+    let plain = InOrbitService::new(presets::starlink_550_only());
+    let (from, to) = (SatId(0), SatId(3));
+    let graph = plain.graph(plain.view(0.0).snapshot(), &[]);
+    let unfaulted = sat_route(&routing::sat_to_sat(&graph, from, to).expect("connected shell"));
+    assert!(unfaulted.len() > 2, "route needs an interior satellite");
+    let interior = unfaulted[1];
+
+    let mut kill_interior = FaultConfig::none();
+    let mut deaths = vec![f64::INFINITY; 1584];
+    deaths[interior.0 as usize] = 0.0;
+    kill_interior.schedule = Some(leo_net::FailureSchedule::from_death_times(deaths));
+    let mut cut_first_isl = FaultConfig::none();
+    cut_first_isl.cut_links.push((unfaulted[0], unfaulted[1]));
+
+    let cfg = slow_migration();
+    let size_bytes = 40e6;
+    let plain_out = migrate_via_packets(&plain, from, to, 0.0, size_bytes, &cfg);
+    for faults in [kill_interior, cut_first_isl] {
+        let service = InOrbitService::with_faults(presets::starlink_550_only(), faults);
+        let out = migrate_via_packets(&service, from, to, 0.0, size_bytes, &cfg);
+        assert_migration_follows_the_mask(&service, from, to, size_bytes, &cfg, &out);
+        assert!(
+            out.analytic_message_s > plain_out.analytic_message_s,
+            "the detour must cost more than the unfaulted route"
+        );
+    }
+}
+
+#[test]
+fn migration_to_a_dead_satellite_never_routes() {
+    let (from, to) = (SatId(0), SatId(3));
+    let mut deaths = vec![f64::INFINITY; 1584];
+    deaths[to.0 as usize] = 0.0;
+    let cfg = FaultConfig {
+        schedule: Some(leo_net::FailureSchedule::from_death_times(deaths)),
+        ..FaultConfig::none()
+    };
+    let service = InOrbitService::with_faults(presets::starlink_550_only(), cfg);
+    let net = slow_migration();
+    let out = migrate_via_packets(&service, from, to, 0.0, 40e6, &net);
+    assert_eq!(out.duration_s, None);
+    assert_eq!(out.segments, net.max_segments);
+    assert_eq!(out.hops, 0, "no segment may find a route");
+    assert_eq!(out.transmissions, 0);
+}
+
+#[test]
+fn empty_fault_plan_migration_is_identical() {
+    let plain = InOrbitService::new(presets::starlink_550_only());
+    let faulted = InOrbitService::with_faults(presets::starlink_550_only(), FaultConfig::none());
+    let cfg = MigrationNetConfig {
+        cross_load_frac: 0.5,
+        ..slow_migration()
+    };
+    let a = migrate_via_packets(&plain, SatId(0), SatId(3), 30.0, 40e6, &cfg);
+    let b = migrate_via_packets(&faulted, SatId(0), SatId(3), 30.0, 40e6, &cfg);
+    assert_eq!(a, b);
 }
 
 #[test]

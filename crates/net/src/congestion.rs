@@ -1,21 +1,21 @@
 //! Congestion-aware packet engine: window-based senders over drop-tail
 //! FIFO links with retransmission and ECN-style marking.
 //!
-//! [`packet`](crate::packet) models open-loop CBR flows: sources emit at a
-//! fixed rate no matter what the network does, so a transfer routed through
-//! it can only lose packets, never react to loss. This module closes the
-//! loop. A [`WindowedFlow`] keeps a congestion window, paces packets at
-//! `cwnd / srtt`, retransmits on triple-duplicate-ACK or timeout, and
-//! shrinks its window under either TCP-Reno-style AIMD or DCTCP-style
-//! proportional ECN response ([`CcAlgorithm`]). Links are drop-tail FIFO
+//! The one packet-level simulator of `leo-net`. A [`WindowedFlow`] keeps
+//! a congestion window, paces packets at `cwnd / srtt`, retransmits on
+//! triple-duplicate-ACK or timeout, and shrinks its window under either
+//! TCP-Reno-style AIMD or DCTCP-style proportional ECN response
+//! ([`CcAlgorithm`]). Links are drop-tail FIFO
 //! queues that set a congestion-experienced mark on packets enqueued while
 //! the queue occupancy is at or above a configurable threshold
 //! ([`CongestionLink::with_ecn`]).
 //!
 //! Background traffic that does *not* react to congestion — Earth-observation
-//! bulk downlinks, aggregated user load — is modelled by [`CbrFlow`], the
-//! same open-loop shape as `packet::Flow`, sharing the queues with windowed
-//! senders.
+//! bulk downlinks, aggregated user load — is modelled by open-loop
+//! [`CbrFlow`]s, which emit at a fixed rate no matter what the network does
+//! and share the queues with windowed senders. On their own they time the
+//! §3.3 downlink-contention footnote (`examples/downlink_contention.rs`):
+//! per-flow delivery ratio and mean latency ([`CbrStats`]).
 //!
 //! # Model and simplifications
 //!
@@ -248,7 +248,7 @@ pub struct WindowedStats {
 }
 
 /// Outcome of a CBR cross-traffic flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CbrStats {
     /// Packets emitted so far.
     pub emitted: u64,
@@ -258,6 +258,32 @@ pub struct CbrStats {
     pub dropped: u64,
     /// Delivered packets carrying a congestion-experienced mark.
     pub ecn_marked: u64,
+    /// Sum of the end-to-end latencies of delivered packets, seconds,
+    /// each measured from the packet's nominal emission instant
+    /// `start_s + k · interval_s`.
+    pub latency_sum_s: f64,
+}
+
+impl CbrStats {
+    /// Fraction of the packets that left the network delivered:
+    /// `delivered / (delivered + dropped)`. Packets still in flight are in
+    /// neither count, so after a drained run this is the fraction of
+    /// emitted packets delivered. A flow that has lost and delivered
+    /// nothing has a vacuous ratio of `1.0`, not `0.0`.
+    pub fn delivery_ratio(&self) -> f64 {
+        let total = self.delivered + self.dropped;
+        if total == 0 {
+            1.0
+        } else {
+            self.delivered as f64 / total as f64
+        }
+    }
+
+    /// Mean end-to-end latency of delivered packets, seconds; `None`
+    /// before the first delivery.
+    pub fn mean_latency_s(&self) -> Option<f64> {
+        (self.delivered > 0).then(|| self.latency_sum_s / self.delivered as f64)
+    }
 }
 
 /// Analytic completion time of an uncontended *packetized* transfer: the
@@ -323,8 +349,8 @@ enum Ev {
 
 impl Ev {
     /// Tie-break rank for events at the same timestamp. Transmit
-    /// completions free links before anything else looks at them (the same
-    /// boundary pinned by `packet::tests::coincident_txdone_and_enqueue_frees_the_link_first`);
+    /// completions free links before anything else looks at them (the
+    /// boundary pinned by `tests::coincident_txdone_and_enqueue_frees_the_link_first`);
     /// ACKs update windows before pacers fire; enqueues observe final link
     /// state.
     fn rank(&self) -> u8 {
@@ -434,6 +460,7 @@ struct CbrState {
     delivered: u64,
     dropped: u64,
     ecn_marked: u64,
+    latency_sum_s: f64,
 }
 
 /// The congestion-aware packet network: drop-tail ECN-marking links shared
@@ -603,6 +630,7 @@ impl CongestionNetwork {
             delivered: 0,
             dropped: 0,
             ecn_marked: 0,
+            latency_sum_s: 0.0,
         });
         self.schedule(start_s, Ev::Emit { cbr: id, k: 0 });
         CbrId(id)
@@ -695,6 +723,7 @@ impl CongestionNetwork {
             delivered: c.delivered,
             dropped: c.dropped,
             ecn_marked: c.ecn_marked,
+            latency_sum_s: c.latency_sum_s,
         }
     }
 
@@ -784,6 +813,7 @@ impl CongestionNetwork {
             Src::Cbr(i) => {
                 let c = &mut self.cbrs[i];
                 c.delivered += 1;
+                c.latency_sum_s += arrival_s - (c.cfg.start_s + pkt.seq as f64 * c.cfg.interval_s);
                 if pkt.marked {
                     c.ecn_marked += 1;
                 }
@@ -1269,6 +1299,192 @@ mod tests {
         CongestionLink::new(1e6, 1e-3, 8).with_ecn(9);
     }
 
+    /// A CBR flow offering `rate_bps` in `packets` packets of
+    /// `packet_bits`, starting at time zero.
+    fn cbr(route: Vec<CLinkId>, rate_bps: f64, packet_bits: f64, packets: u64) -> CbrFlow {
+        CbrFlow {
+            route,
+            packet_bits,
+            interval_s: packet_bits / rate_bps,
+            start_s: 0.0,
+            packets,
+        }
+    }
+
+    /// Runs `flows` over a fresh network of `links` to completion and
+    /// returns each flow's stats.
+    fn run_cbr(links: &[CongestionLink], flows: &[(&[usize], f64, f64, u64)]) -> Vec<CbrStats> {
+        let mut net = CongestionNetwork::new();
+        let ids: Vec<CLinkId> = links.iter().map(|&l| net.add_link(l)).collect();
+        let flows: Vec<CbrId> = flows
+            .iter()
+            .map(|&(route, rate, bits, n)| {
+                net.add_cbr(cbr(route.iter().map(|&i| ids[i]).collect(), rate, bits, n))
+            })
+            .collect();
+        net.run();
+        flows.iter().map(|&f| net.cbr_stats(f)).collect()
+    }
+
+    /// One CBR flow alone on one link.
+    fn lone_cbr(link: CongestionLink, rate_bps: f64, packet_bits: f64, packets: u64) -> CbrStats {
+        run_cbr(&[link], &[(&[0], rate_bps, packet_bits, packets)])[0]
+    }
+
+    #[test]
+    fn lone_cbr_flow_below_capacity_delivers_everything() {
+        let s = lone_cbr(CongestionLink::new(1e9, 0.002, 16), 0.5e9, 1e4, 100);
+        assert_eq!((s.emitted, s.delivered, s.dropped), (100, 100, 0));
+        // Latency = serialization + propagation for every packet.
+        let expect = 1e4 / 1e9 + 0.002;
+        assert!((s.mean_latency_s().unwrap() - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn overload_drops_the_excess() {
+        // Offered 2 Mbps into a 1 Mbps link: ~half must drop once the
+        // queue fills.
+        let s = lone_cbr(CongestionLink::new(1e6, 0.0, 4), 2e6, 1e4, 500);
+        assert!(s.dropped > 150, "dropped {}", s.dropped);
+        assert_eq!(s.delivered + s.dropped, 500);
+        let ratio = s.delivery_ratio();
+        assert!((0.4..0.7).contains(&ratio), "delivery {ratio}");
+    }
+
+    #[test]
+    fn queueing_latency_grows_with_load() {
+        let run_at = |offered: f64| {
+            lone_cbr(CongestionLink::new(1e9, 0.001, 64), offered, 1e4, 1000)
+                .mean_latency_s()
+                .unwrap()
+        };
+        let light = run_at(0.3e9);
+        let heavy = run_at(0.99e9);
+        assert!(heavy >= light, "heavy {heavy} vs light {light}");
+    }
+
+    #[test]
+    fn two_cbr_flows_share_a_link_at_equal_rates() {
+        let flow: (&[usize], f64, f64, u64) = (&[0], 0.4e9, 1e4, 400);
+        let s = run_cbr(&[CongestionLink::new(1e9, 0.0, 1024)], &[flow, flow]);
+        assert_eq!((s[0].delivered, s[1].delivered), (400, 400));
+    }
+
+    #[test]
+    fn bulk_flow_inflates_interactive_queueing_on_a_shared_downlink() {
+        // The §3.3 footnote scenario: EO bulk download + user traffic on
+        // one 10 Gbps downlink. Compare *queueing* delay (latency above
+        // the serialization+propagation floor).
+        let floor = 1.2e4 / 10e9 + 0.002;
+        let link = [CongestionLink::new(10e9, 0.002, 256)];
+        let user: (&[usize], f64, f64, u64) = (&[0], 0.1e9, 1.2e4, 500);
+        let alone = run_cbr(&link, &[user])[0].mean_latency_s().unwrap() - floor;
+        // EO bulk slightly oversubscribing the link.
+        let shared = run_cbr(&link, &[user, (&[0], 9.98e9, 1.2e5, 20_000)])[0]
+            .mean_latency_s()
+            .unwrap()
+            - floor;
+        assert!(alone < 1e-9, "uncontended queueing {alone}");
+        assert!(
+            shared > 1e-6,
+            "bulk sharing should add microseconds-scale queueing, got {shared}"
+        );
+    }
+
+    #[test]
+    fn multi_hop_cbr_packets_traverse_every_link() {
+        let links = [
+            CongestionLink::new(1e9, 0.001, 8),
+            CongestionLink::new(1e9, 0.003, 8),
+        ];
+        let s = run_cbr(&links, &[(&[0, 1], 0.1e9, 1e4, 10)])[0];
+        assert_eq!(s.delivered, 10);
+        let expect = 2.0 * (1e4 / 1e9) + 0.001 + 0.003;
+        assert!((s.mean_latency_s().unwrap() - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn zero_queue_link_is_pure_blocking() {
+        // Two packets arrive 0.5 s apart on a link that needs 1 s to
+        // serialize one; the second finds the server busy and no queue.
+        let s = lone_cbr(CongestionLink::new(1e6, 0.0, 0), 2e6, 1e6, 2);
+        assert_eq!((s.delivered, s.dropped), (1, 1));
+    }
+
+    /// An emission landing at the exact instant of a transmit completion
+    /// must see the freed link: with the interval equal to the
+    /// serialization time, every arrival coincides with the previous
+    /// packet's `TxDone`.
+    #[test]
+    fn coincident_txdone_and_enqueue_frees_the_link_first() {
+        let s = lone_cbr(CongestionLink::new(1e6, 0.0, 0), 1e6, 1e6, 4);
+        assert_eq!(s.delivered, 4, "coincident arrivals must be served");
+        assert_eq!(s.dropped, 0);
+        // With a queue, the coincident arrival starts service at once
+        // instead of sitting one full serialization behind.
+        let s = lone_cbr(CongestionLink::new(1e6, 0.0, 8), 1e6, 1e6, 4);
+        assert!((s.mean_latency_s().unwrap() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow route must have at least one link")]
+    fn empty_cbr_routes_are_rejected() {
+        let mut net = CongestionNetwork::new();
+        net.add_cbr(cbr(vec![], 1e6, 1e4, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "CBR emission interval must be positive and finite")]
+    fn nan_interval_cbr_flows_are_rejected() {
+        let (mut net, l) = one_link_net(1e6, 0.0, 4);
+        net.add_cbr(CbrFlow {
+            interval_s: f64::NAN,
+            ..cbr(vec![l], 1e6, 1e4, 1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "flow start must be finite")]
+    fn non_finite_start_cbr_flows_are_rejected() {
+        let (mut net, l) = one_link_net(1e6, 0.0, 4);
+        net.add_cbr(CbrFlow {
+            start_s: f64::INFINITY,
+            ..cbr(vec![l], 1e6, 1e4, 1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "packet size must be positive and finite")]
+    fn infinite_packet_size_cbr_flows_are_rejected() {
+        let (mut net, l) = one_link_net(1e6, 0.0, 4);
+        net.add_cbr(CbrFlow {
+            packet_bits: f64::INFINITY,
+            ..cbr(vec![l], 1e6, 1e4, 1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "link rate must be positive and finite")]
+    fn non_finite_link_rates_are_rejected() {
+        CongestionLink::new(f64::NAN, 0.0, 4);
+    }
+
+    #[test]
+    fn zero_packet_delivery_ratio_is_vacuously_one() {
+        // Nothing delivered or lost yet: the ratio is 1.0, not a silent
+        // 0.0, and there is no mean latency.
+        let (mut net, l) = one_link_net(1e6, 0.0, 4);
+        let f = net.add_cbr(CbrFlow {
+            start_s: 10.0,
+            ..cbr(vec![l], 1e6, 1e4, 1)
+        });
+        net.run_until(1.0);
+        let s = net.cbr_stats(f);
+        assert_eq!((s.emitted, s.delivered, s.dropped), (0, 0, 0));
+        assert_eq!(s.delivery_ratio(), 1.0);
+        assert_eq!(s.mean_latency_s(), None);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1357,6 +1573,70 @@ mod tests {
                 let cs = net.cbr_stats(c);
                 prop_assert_eq!(cs.emitted, cs.delivered + cs.dropped);
             }
+        }
+
+        /// Conservation: every emitted CBR packet is either delivered or
+        /// dropped, never both, never lost.
+        #[test]
+        fn prop_cbr_packet_conservation(
+            n1 in 1_u64..200,
+            n2 in 1_u64..200,
+            rate in 1e6..1e9f64,
+            queue in 0_usize..64,
+        ) {
+            let s = run_cbr(
+                &[CongestionLink::new(rate, 0.001, queue)],
+                &[(&[0], rate * 0.8, 1e4, n1), (&[0], rate * 0.8, 1e4, n2)],
+            );
+            prop_assert_eq!(s[0].delivered + s[0].dropped, n1);
+            prop_assert_eq!(s[1].delivered + s[1].dropped, n2);
+        }
+
+        /// Conservation over multi-hop routes with unequal per-link
+        /// queues and a guaranteed interior bottleneck: the entry link is
+        /// generously buffered and under-subscribed, so every drop happens
+        /// at an interior hop — and each emitted packet is still delivered
+        /// or dropped exactly once.
+        #[test]
+        fn prop_cbr_packet_conservation_multi_hop(
+            n1 in 1_u64..200,
+            n2 in 1_u64..200,
+            rate in 1e6..1e9f64,
+            q_mid in 0_usize..8,
+            q_out in 0_usize..64,
+            delay in 0.0..0.01f64,
+        ) {
+            let links = [
+                // Entry: ample queue, jointly under-subscribed (0.8 load).
+                CongestionLink::new(rate, delay, 1024),
+                // Interior: 4x over-subscribed with a small unequal queue.
+                CongestionLink::new(rate * 0.2, 0.002, q_mid),
+                CongestionLink::new(rate, 0.001, q_out),
+            ];
+            let s = run_cbr(
+                &links,
+                &[(&[0, 1, 2], rate * 0.4, 1e4, n1), (&[0, 1], rate * 0.4, 1e4, n2)],
+            );
+            prop_assert_eq!(s[0].delivered + s[0].dropped, n1);
+            prop_assert_eq!(s[1].delivered + s[1].dropped, n2);
+            // The interior bottleneck must actually bite once the emission
+            // run is longer than everything its queue can hide.
+            if n1 + n2 > 60 {
+                prop_assert!(s[0].dropped + s[1].dropped > 0, "no interior drops");
+            }
+        }
+
+        /// Mean latency is bounded below by serialization + propagation
+        /// and above by the full-queue worst case.
+        #[test]
+        fn prop_cbr_latency_bounds(load in 0.1..1.5f64, queue in 1_usize..32) {
+            let (rate, bits) = (1e8, 1e4);
+            let s = lone_cbr(CongestionLink::new(rate, 0.002, queue), rate * load, bits, 200);
+            let floor = bits / rate + 0.002;
+            let ceiling = floor + (queue as f64 + 1.0) * bits / rate;
+            let mean = s.mean_latency_s().unwrap();
+            prop_assert!(mean >= floor - 1e-12);
+            prop_assert!(mean <= ceiling + 1e-9);
         }
     }
 }

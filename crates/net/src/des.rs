@@ -1,28 +1,13 @@
-//! A discrete-event network simulator for store-and-forward transfers.
+//! The analytic store-and-forward bound for finite-size transfers.
 //!
-//! The latency figures of the paper need only propagation delay, but two
-//! parts of the reproduction need *transfer times* of finite-size data
-//! under finite link rates:
-//!
-//! * state migration between successive meetup-servers (§5 — "the high
-//!   inter-satellite bandwidth could accommodate this"), and
-//! * the Earth-observation downlink bottleneck analysis (§3.3).
-//!
-//! The model: each directed link has a rate (bits/s) and a propagation
-//! delay (s); messages are serialized hop-by-hop (store-and-forward) and
-//! links serve transmissions FIFO. Events are processed in time order
-//! with a deterministic tie-break, so runs are exactly reproducible.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-/// Identifier of a directed link in a [`DesNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LinkId(pub usize);
-
-/// Identifier of a scheduled transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TransferId(pub usize);
+//! The latency figures of the paper need only propagation delay, but state
+//! migration between successive meetup-servers (§5 — "the high
+//! inter-satellite bandwidth could accommodate this") needs *transfer
+//! times* of finite-size data under finite link rates. This module gives
+//! the closed-form, uncontended answer: each hop serializes the whole
+//! message (store-and-forward) and adds its propagation delay. Contended
+//! transfers, queueing and loss are the packet-level
+//! [`congestion`](crate::congestion) engine's job.
 
 /// A directed link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,193 +38,10 @@ impl Link {
     }
 }
 
-/// A completed transfer's record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransferRecord {
-    /// Which transfer.
-    pub id: TransferId,
-    /// When it was injected, seconds.
-    pub start_s: f64,
-    /// When its last bit arrived at the destination, seconds.
-    pub completion_s: f64,
-    /// Payload size, bits.
-    pub size_bits: f64,
-    /// Number of hops traversed.
-    pub hops: usize,
-}
-
-impl TransferRecord {
-    /// End-to-end transfer latency, seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.completion_s - self.start_s
-    }
-}
-
-#[derive(Debug)]
-struct Transfer {
-    route: Vec<LinkId>,
-    size_bits: f64,
-    start_s: f64,
-}
-
-#[derive(Debug, PartialEq)]
-struct Event {
-    /// When the message becomes ready to enter `hop` of `transfer`.
-    time_s: f64,
-    seq: u64,
-    transfer: usize,
-    hop: usize,
-}
-
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, o: &Self) -> Ordering {
-        // Min-heap by time; FIFO tie-break on insertion order.
-        o.time_s
-            .total_cmp(&self.time_s)
-            .then_with(|| o.seq.cmp(&self.seq))
-    }
-}
-
-/// The simulator: links, scheduled transfers, and an event loop.
-///
-/// ```
-/// use leo_net::des::{DesNetwork, Link};
-///
-/// let mut net = DesNetwork::new();
-/// // A 100 Gbps ISL with 3 ms propagation delay.
-/// let isl = net.add_link(Link::new(100e9, 0.003));
-/// // Migrate 1 GB of session state across it.
-/// let id = net.schedule_transfer(vec![isl], 8e9, 0.0);
-/// let record = net.run()[id.0];
-/// assert!((record.duration_s() - (8e9 / 100e9 + 0.003)).abs() < 1e-12);
-/// ```
-#[derive(Debug, Default)]
-pub struct DesNetwork {
-    links: Vec<Link>,
-    transfers: Vec<Transfer>,
-}
-
-impl DesNetwork {
-    /// Creates an empty network.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a directed link, returning its id.
-    pub fn add_link(&mut self, link: Link) -> LinkId {
-        self.links.push(link);
-        LinkId(self.links.len() - 1)
-    }
-
-    /// Link lookup.
-    pub fn link(&self, id: LinkId) -> &Link {
-        &self.links[id.0]
-    }
-
-    /// Schedules a transfer of `size_bits` along `route` starting at
-    /// `start_s`, returning its id.
-    ///
-    /// # Panics
-    /// Panics on an empty route, a non-positive or non-finite size, a
-    /// non-finite start time, or an unknown link. A NaN start would
-    /// silently corrupt the event heap's order and an infinite size
-    /// would record `inf` completion times, so both are rejected here
-    /// with the offending value in the message.
-    pub fn schedule_transfer(
-        &mut self,
-        route: Vec<LinkId>,
-        size_bits: f64,
-        start_s: f64,
-    ) -> TransferId {
-        assert!(!route.is_empty(), "empty route");
-        assert!(
-            size_bits.is_finite() && size_bits > 0.0,
-            "transfer size must be positive and finite, got {size_bits}"
-        );
-        assert!(
-            start_s.is_finite(),
-            "transfer start time must be finite, got {start_s}"
-        );
-        assert!(
-            route.iter().all(|l| l.0 < self.links.len()),
-            "route references unknown link"
-        );
-        self.transfers.push(Transfer {
-            route,
-            size_bits,
-            start_s,
-        });
-        TransferId(self.transfers.len() - 1)
-    }
-
-    /// Runs the simulation to completion and returns one record per
-    /// transfer, ordered by [`TransferId`].
-    pub fn run(&mut self) -> Vec<TransferRecord> {
-        let mut heap = BinaryHeap::new();
-        let mut seq = 0u64;
-        // Earlier-injected transfers win ties deterministically.
-        let mut order: Vec<usize> = (0..self.transfers.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.transfers[a]
-                .start_s
-                .total_cmp(&self.transfers[b].start_s)
-                .then(a.cmp(&b))
-        });
-        for &ti in &order {
-            heap.push(Event {
-                time_s: self.transfers[ti].start_s,
-                seq,
-                transfer: ti,
-                hop: 0,
-            });
-            seq += 1;
-        }
-
-        let mut next_free = vec![0.0f64; self.links.len()];
-        let mut records: Vec<Option<TransferRecord>> = vec![None; self.transfers.len()];
-
-        while let Some(ev) = heap.pop() {
-            let tr = &self.transfers[ev.transfer];
-            let link_id = tr.route[ev.hop];
-            let link = self.links[link_id.0];
-            let start_tx = ev.time_s.max(next_free[link_id.0]);
-            let end_tx = start_tx + link.serialization_s(tr.size_bits);
-            next_free[link_id.0] = end_tx;
-            let arrival = end_tx + link.prop_delay_s;
-            if ev.hop + 1 < tr.route.len() {
-                heap.push(Event {
-                    time_s: arrival,
-                    seq,
-                    transfer: ev.transfer,
-                    hop: ev.hop + 1,
-                });
-                seq += 1;
-            } else {
-                records[ev.transfer] = Some(TransferRecord {
-                    id: TransferId(ev.transfer),
-                    start_s: tr.start_s,
-                    completion_s: arrival,
-                    size_bits: tr.size_bits,
-                    hops: tr.route.len(),
-                });
-            }
-        }
-        records
-            .into_iter()
-            .map(|r| r.expect("transfer completed"))
-            .collect()
-    }
-}
-
 /// Analytic store-and-forward time for an uncontended path: per-hop
-/// serialization plus propagation. Useful as a lower bound and for quick
-/// estimates without running the event loop.
+/// serialization plus propagation, the whole message at a time. An upper
+/// bound on the packetized
+/// [`uncontended_packet_transfer_s`](crate::congestion::uncontended_packet_transfer_s).
 pub fn uncontended_transfer_s(size_bits: f64, links: &[Link]) -> f64 {
     links
         .iter()
@@ -250,167 +52,34 @@ pub fn uncontended_transfer_s(size_bits: f64, links: &[Link]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
-    fn single_hop_matches_analytic_time() {
-        let mut net = DesNetwork::new();
-        let l = net.add_link(Link::new(1e9, 0.005));
-        let id = net.schedule_transfer(vec![l], 1e9, 0.0);
-        let rec = &net.run()[id.0];
+    fn single_hop_is_serialization_plus_propagation() {
         // 1 Gbit over 1 Gbps = 1 s serialization + 5 ms propagation.
-        assert!((rec.duration_s() - 1.005).abs() < 1e-12);
+        let t = uncontended_transfer_s(1e9, &[Link::new(1e9, 0.005)]);
+        assert!((t - 1.005).abs() < 1e-12);
     }
 
     #[test]
     fn multi_hop_store_and_forward_adds_per_hop_serialization() {
-        let mut net = DesNetwork::new();
         let links = [
-            net.add_link(Link::new(1e9, 0.002)),
-            net.add_link(Link::new(1e9, 0.003)),
-            net.add_link(Link::new(1e9, 0.004)),
+            Link::new(1e9, 0.002),
+            Link::new(1e9, 0.003),
+            Link::new(1e9, 0.004),
         ];
-        let id = net.schedule_transfer(links.to_vec(), 1e8, 0.0);
-        let rec = &net.run()[id.0];
         // 3 × 0.1 s serialization + 9 ms propagation.
-        assert!((rec.duration_s() - 0.309).abs() < 1e-12);
-    }
-
-    #[test]
-    fn analytic_helper_agrees_with_des_when_uncontended() {
-        let links = vec![Link::new(1e10, 0.0037), Link::new(2.5e9, 0.0012)];
-        let mut net = DesNetwork::new();
-        let ids: Vec<LinkId> = links.iter().map(|&l| net.add_link(l)).collect();
-        let t = net.schedule_transfer(ids, 8e9, 1.0);
-        let rec = &net.run()[t.0];
-        let expect = uncontended_transfer_s(8e9, &links);
-        assert!((rec.duration_s() - expect).abs() < 1e-9);
+        assert!((uncontended_transfer_s(1e8, &links) - 0.309).abs() < 1e-12);
     }
 
     #[test]
     fn bottleneck_link_dominates() {
-        let mut net = DesNetwork::new();
-        let fast = net.add_link(Link::new(1e10, 0.0));
-        let slow = net.add_link(Link::new(1e7, 0.0));
-        let id = net.schedule_transfer(vec![fast, slow], 1e7, 0.0);
-        let rec = &net.run()[id.0];
-        assert!((rec.duration_s() - (0.001 + 1.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn contention_serializes_transfers_fifo() {
-        let mut net = DesNetwork::new();
-        let l = net.add_link(Link::new(1e9, 0.0));
-        let a = net.schedule_transfer(vec![l], 1e9, 0.0);
-        let b = net.schedule_transfer(vec![l], 1e9, 0.0);
-        let recs = net.run();
-        assert!((recs[a.0].completion_s - 1.0).abs() < 1e-12);
-        assert!((recs[b.0].completion_s - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn later_arrival_does_not_preempt() {
-        let mut net = DesNetwork::new();
-        let l = net.add_link(Link::new(1e9, 0.0));
-        let a = net.schedule_transfer(vec![l], 2e9, 0.0); // busy until t=2
-        let b = net.schedule_transfer(vec![l], 1e6, 1.0); // arrives mid-service
-        let recs = net.run();
-        assert!((recs[a.0].completion_s - 2.0).abs() < 1e-12);
-        assert!(recs[b.0].completion_s > 2.0);
-    }
-
-    #[test]
-    fn transfers_on_disjoint_links_do_not_interact() {
-        let mut net = DesNetwork::new();
-        let l1 = net.add_link(Link::new(1e9, 0.001));
-        let l2 = net.add_link(Link::new(1e9, 0.001));
-        let a = net.schedule_transfer(vec![l1], 1e9, 0.0);
-        let b = net.schedule_transfer(vec![l2], 1e9, 0.0);
-        let recs = net.run();
-        assert!((recs[a.0].duration_s() - recs[b.0].duration_s()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn records_preserve_transfer_metadata() {
-        let mut net = DesNetwork::new();
-        let l = net.add_link(Link::new(1e9, 0.0));
-        let id = net.schedule_transfer(vec![l, l], 5e8, 3.5);
-        let rec = &net.run()[id.0];
-        assert_eq!(rec.id, id);
-        assert_eq!(rec.hops, 2);
-        assert_eq!(rec.start_s, 3.5);
-        assert_eq!(rec.size_bits, 5e8);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty route")]
-    fn empty_routes_are_rejected() {
-        let mut net = DesNetwork::new();
-        net.schedule_transfer(vec![], 1.0, 0.0);
+        let links = [Link::new(1e10, 0.0), Link::new(1e7, 0.0)];
+        assert!((uncontended_transfer_s(1e7, &links) - (0.001 + 1.0)).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_links_are_rejected() {
         Link::new(0.0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "transfer start time must be finite")]
-    fn nan_start_transfers_are_rejected() {
-        // A NaN start previously slipped through and corrupted the
-        // deterministic tie-break order of the event heap.
-        let mut net = DesNetwork::new();
-        let l = net.add_link(Link::new(1e9, 0.0));
-        net.schedule_transfer(vec![l], 1e6, f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "transfer size must be positive and finite")]
-    fn infinite_size_transfers_are_rejected() {
-        let mut net = DesNetwork::new();
-        let l = net.add_link(Link::new(1e9, 0.0));
-        net.schedule_transfer(vec![l], f64::INFINITY, 0.0);
-    }
-
-    proptest! {
-        /// Completion is never before the uncontended analytic bound.
-        #[test]
-        fn prop_des_never_beats_the_analytic_bound(
-            sizes in proptest::collection::vec(1e3..1e9f64, 1..10),
-            rate in 1e6..1e10f64,
-            prop_delay in 0.0..0.1f64,
-        ) {
-            let mut net = DesNetwork::new();
-            let l = net.add_link(Link::new(rate, prop_delay));
-            let link = Link::new(rate, prop_delay);
-            let ids: Vec<TransferId> = sizes
-                .iter()
-                .map(|&s| net.schedule_transfer(vec![l], s, 0.0))
-                .collect();
-            let recs = net.run();
-            for (id, &size) in ids.iter().zip(&sizes) {
-                let bound = uncontended_transfer_s(size, std::slice::from_ref(&link));
-                prop_assert!(recs[id.0].duration_s() >= bound - 1e-9);
-            }
-        }
-
-        /// Work conservation on one link: total busy time equals the sum of
-        /// serialization times (back-to-back arrivals leave no idle gaps).
-        #[test]
-        fn prop_link_is_work_conserving(
-            sizes in proptest::collection::vec(1e3..1e8f64, 1..20),
-            rate in 1e6..1e9f64,
-        ) {
-            let mut net = DesNetwork::new();
-            let l = net.add_link(Link::new(rate, 0.0));
-            for &s in &sizes {
-                net.schedule_transfer(vec![l], s, 0.0);
-            }
-            let recs = net.run();
-            let last = recs.iter().map(|r| r.completion_s).fold(0.0, f64::max);
-            let total_work: f64 = sizes.iter().map(|s| s / rate).sum();
-            prop_assert!((last - total_work).abs() < 1e-6 * total_work.max(1.0));
-        }
     }
 }

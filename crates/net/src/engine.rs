@@ -1,12 +1,12 @@
 //! The incremental CSR routing engine.
 //!
-//! [`build_graph`](crate::routing::build_graph) reconstructs a
-//! `HashMap`-backed [`NetworkGraph`](crate::graph::NetworkGraph) from
-//! scratch at every snapshot — and the hand-off loops of the
-//! virtual-stationarity experiments rebuild it again *per query*. The
-//! +Grid ISL structure never changes, though: only edge lengths (and the
-//! occasional Earth-occluded link) vary with time. [`RoutingEngine`]
-//! exploits that split:
+//! The reference oracle, [`build_graph`](crate::routing::build_graph),
+//! reconstructs a `HashMap`-backed
+//! [`NetworkGraph`](crate::graph::NetworkGraph) from scratch at every
+//! snapshot. The +Grid ISL structure never changes, though: only edge
+//! lengths (and the occasional Earth-occluded or fault-masked link) vary
+//! with time. [`RoutingEngine`] exploits that split, and every production
+//! routing path runs on it:
 //!
 //! * **compile once** — the ISL adjacency is flattened into a compressed
 //!   sparse row (CSR) array over dense satellite indices at construction;
@@ -21,7 +21,8 @@
 //! * **query with a reusable arena** — Dijkstra runs against the CSR
 //!   arrays with caller-owned scratch buffers ([`DijkstraArena`]) whose
 //!   clears are O(touched) via generation stamps, plus an early-exit
-//!   variant for single-target queries.
+//!   variant for single-target queries and route recovery from its
+//!   stamped distances ([`RoutingEngine::sat_to_sat_path`]).
 //!
 //! Delays are **bit-identical** to the brute-force
 //! `build_graph` + Dijkstra path: the same edge set, the same weights
@@ -930,6 +931,57 @@ impl RoutingEngine {
         self.run(weights, links, a.0, Some(b.0), arena)
     }
 
+    /// The shortest ISL route from `a` to `b` as the one-way delay and the
+    /// satellites along it, both endpoints included, or `None` when
+    /// disconnected. The delay is
+    /// bit-identical to [`RoutingEngine::sat_to_sat_delay`] without
+    /// ground links.
+    ///
+    /// Runs the early-exit search, then walks back from `b` over the
+    /// arena's stamped distances: each step takes the neighbour `u` with
+    /// `dist[u] + w(u, v) == dist[v]`, the lowest `SatId` on an exact tie.
+    /// Masked or occluded edges weigh `INFINITY` and never match.
+    ///
+    /// # Panics
+    /// Panics when `a` or `b` is not a satellite of the compiled engine.
+    pub fn sat_to_sat_path(
+        &self,
+        weights: &IslWeights,
+        a: SatId,
+        b: SatId,
+        arena: &mut DijkstraArena,
+    ) -> Option<(f64, Vec<SatId>)> {
+        for s in [a, b] {
+            assert!(
+                (s.0 as usize) < self.num_sats,
+                "satellite {} out of range for {} satellites",
+                s.0,
+                self.num_sats
+            );
+        }
+        let delay = self.run(weights, None, a.0, Some(b.0), arena)?;
+        let dist = &arena.scratch;
+        let mut path = vec![b];
+        let mut v = b.0;
+        while v != a.0 {
+            let (lo, hi) = (
+                self.offsets[v as usize] as usize,
+                self.offsets[v as usize + 1] as usize,
+            );
+            let dv = dist.dist_of(v);
+            v = self.targets[lo..hi]
+                .iter()
+                .zip(&weights.slots[lo..hi])
+                .filter(|&(&u, &w)| dist.dist_of(u) + w == dv)
+                .map(|(&u, _)| u)
+                .min()
+                .expect("a stamped distance was relaxed from a stamped neighbour");
+            path.push(SatId(v));
+        }
+        path.reverse();
+        Some((delay, path))
+    }
+
     /// One-way delay between two attached ground endpoints (by slot in
     /// the attached group), or `None` when disconnected. The source is
     /// `a` — matching the brute-force path's summation order exactly.
@@ -1214,6 +1266,14 @@ mod tests {
 
     fn endpoint(i: u32, lat: f64, lon: f64) -> GroundEndpoint {
         GroundEndpoint::new(i, Geodetic::ground(lat, lon))
+    }
+
+    #[test]
+    #[should_panic(expected = "satellite 1584 out of range for 1584 satellites")]
+    fn path_query_rejects_unknown_satellites() {
+        let (c, _, engine) = setup();
+        let weights = engine.refresh(&c.snapshot(0.0));
+        engine.sat_to_sat_path(&weights, SatId(0), SatId(1584), &mut DijkstraArena::new());
     }
 
     #[test]

@@ -13,28 +13,29 @@
 //! * [`isl`] — the +Grid inter-satellite-link topology (intra-plane ring +
 //!   nearest neighbor in each adjacent plane) with an Earth-occlusion
 //!   check, plus link lengths at any time.
-//! * [`graph`] — a propagation-delay-weighted network graph over
-//!   satellites and ground endpoints with Dijkstra shortest paths.
-//! * [`engine`] — the incremental CSR routing engine: the ISL adjacency
-//!   compiled once ([`engine::RoutingEngine`]), per-snapshot weight
-//!   refreshes in place ([`engine::IslWeights`]), per-group ground
-//!   attachment ([`engine::GroundLinks`]), and arena-backed Dijkstra
-//!   ([`engine::DijkstraArena`]) with early exit and bulk variants —
-//!   bit-identical delays to the [`graph`] path, several times faster.
-//! * [`routing`] — end-to-end helpers: ground–ground RTT through the
-//!   constellation, ground–satellite–ground meetup paths, and
-//!   satellite–satellite transfer paths.
-//! * [`des`] — a discrete-event simulator (event queue, links with rate +
-//!   propagation delay, store-and-forward message transfer) used to time
-//!   state migration in `leo-core` and the Earth-observation pipeline in
-//!   `leo-apps`.
-//! * [`packet`] — packet-level simulation (FIFO queues, drop-tail,
-//!   competing flows) for the §3.3 downlink-contention footnote.
-//! * [`congestion`] — the closed-loop counterpart: window-based senders
+//! * [`engine`] — the incremental CSR routing engine, the one routing
+//!   stack every production path uses: the ISL adjacency compiled once
+//!   ([`engine::RoutingEngine`]), per-snapshot weight refreshes in place
+//!   ([`engine::IslWeights`]), per-group ground attachment
+//!   ([`engine::GroundLinks`]), and arena-backed Dijkstra
+//!   ([`engine::DijkstraArena`]) with early exit, route recovery and bulk
+//!   variants.
+//! * [`graph`] and [`routing`] — the reference oracle: a `HashMap`-backed
+//!   propagation-delay graph over satellites and ground endpoints with
+//!   textbook Dijkstra, and end-to-end helpers over it (ground–ground,
+//!   ground–satellite, satellite–satellite). The engine's delays are
+//!   bit-identical to it, which `tests/engine_vs_graph.rs` pins; no
+//!   production path routes over it. [`routing::GroundEndpoint`] is the
+//!   ground-point type every layer shares.
+//! * [`congestion`] — the packet-level simulator: window-based senders
 //!   (AIMD / DCTCP) with pacing, retransmission on drop-tail loss, and
-//!   ECN-style marking at a configurable queue threshold, sharing queues
-//!   with open-loop CBR cross-traffic. Used by `leo-core` to time state
-//!   migration over contended ISLs.
+//!   ECN-style marking at a configurable queue threshold, sharing FIFO
+//!   queues with open-loop CBR cross-traffic. Used by `leo-core` to time
+//!   state migration over contended ISLs, and on its own for the §3.3
+//!   downlink-contention footnote.
+//! * [`des`] — the analytic store-and-forward bound for an uncontended
+//!   finite-size transfer (per-hop serialization plus propagation), the
+//!   message-level ceiling the packetized transfers are checked against.
 //! * [`handover`] — single-ground-station pass prediction and hand-over
 //!   schedules for the plain network service (§2).
 //! * [`weather`] — rain-fade link budgets and availability (§6's
@@ -56,7 +57,6 @@ pub mod graph;
 pub mod handover;
 pub mod index;
 pub mod isl;
-pub mod packet;
 pub mod routing;
 pub mod visibility;
 pub mod weather;

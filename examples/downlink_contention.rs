@@ -7,13 +7,13 @@
 //! Run with: `cargo run --release --example downlink_contention`
 
 use in_orbit::apps::spacenative::SensingPipeline;
-use in_orbit::net::packet::{Flow, PLinkId, PacketLink, PacketNetwork};
+use in_orbit::net::congestion::{CbrFlow, CongestionLink, CongestionNetwork};
 
 fn scenario(bulk_bps: f64) -> (f64, f64) {
-    let mut net = PacketNetwork::new();
-    let downlink = net.add_link(PacketLink::new(10e9, 0.002, 256));
+    let mut net = CongestionNetwork::new();
+    let downlink = net.add_link(CongestionLink::new(10e9, 0.002, 256));
     // Interactive user traffic: 100 Mbps of 1,500-byte packets.
-    let user = net.add_flow(Flow {
+    let user = net.add_cbr(CbrFlow {
         route: vec![downlink],
         packet_bits: 12_000.0,
         interval_s: 12_000.0 / 0.1e9,
@@ -22,17 +22,18 @@ fn scenario(bulk_bps: f64) -> (f64, f64) {
     });
     if bulk_bps > 0.0 {
         // EO download: 15,000-byte jumbo packets.
-        net.add_flow(Flow {
-            route: vec![PLinkId(downlink.0)],
+        net.add_cbr(CbrFlow {
+            route: vec![downlink],
             packet_bits: 120_000.0,
             interval_s: 120_000.0 / bulk_bps,
             start_s: 0.0,
-            packets: (bulk_bps / 120_000.0 * 0.25) as usize, // ~250 ms worth
+            packets: (bulk_bps / 120_000.0 * 0.25) as u64, // ~250 ms worth
         });
     }
-    let stats = net.run();
-    let mean_ms = stats[user.0].mean_latency_s().unwrap_or(f64::NAN) * 1e3;
-    (mean_ms, stats[user.0].delivery_ratio())
+    net.run();
+    let stats = net.cbr_stats(user);
+    let mean_ms = stats.mean_latency_s().unwrap_or(f64::NAN) * 1e3;
+    (mean_ms, stats.delivery_ratio())
 }
 
 fn main() {

@@ -3,8 +3,10 @@
 //! are built from.
 
 use in_orbit::apps::spacenative::SensingPipeline;
-use in_orbit::net::des::{uncontended_transfer_s, DesNetwork, Link};
-use in_orbit::net::routing::{build_graph, ground_to_ground, sat_to_sat};
+use in_orbit::core::replication::{migrate_via_packets, MigrationNetConfig};
+use in_orbit::net::congestion::{uncontended_packet_transfer_s, CongestionLink};
+use in_orbit::net::des::{uncontended_transfer_s, Link};
+use in_orbit::net::routing::{build_graph, ground_to_ground};
 use in_orbit::prelude::*;
 
 #[test]
@@ -65,38 +67,48 @@ fn state_migration_transfer_times_are_practical() {
     // §5: "state migration after every few minutes is still a substantial
     // overhead. However, the high inter-satellite bandwidth could
     // accommodate this." Time a 1 GB session-state migration between two
-    // adjacent meetup servers over a 100 Gbps ISL path found by routing.
-    let constellation = starlink_550_only();
-    let topo = IslTopology::plus_grid(&constellation);
-    let snap = constellation.snapshot(0.0);
-    let graph = build_graph(&constellation, &topo, &snap, &[]);
-    let path = sat_to_sat(&graph, SatId(0), SatId(1)).expect("adjacent");
-
-    // Build the DES route matching the path's hops.
-    let mut net = DesNetwork::new();
-    let links: Vec<_> = (0..path.hops())
-        .map(|_| net.add_link(Link::new(100e9, path.delay_s / path.hops() as f64)))
-        .collect();
-    let size_bits = 8e9; // 1 GB
-    let id = net.schedule_transfer(links, size_bits, 0.0);
-    let rec = net.run()[id.0];
+    // adjacent meetup servers over 100 Gbps ISLs, packet by packet.
+    let service = InOrbitService::new(starlink_550_only());
+    let cfg = MigrationNetConfig {
+        isl_rate_bps: 100e9,
+        ..MigrationNetConfig::default()
+    };
+    let out = migrate_via_packets(&service, SatId(0), SatId(1), 0.0, 1e9, &cfg);
+    let t = out.duration_s.expect("adjacent servers are connected");
     // Well under the ~164 s Sticky hand-off interval.
-    assert!(
-        rec.duration_s() < 1.0,
-        "1 GB migration took {} s",
-        rec.duration_s()
-    );
+    assert!(t < 1.0, "1 GB migration took {t} s");
+    assert!(t >= out.analytic_packet_s - 1e-9);
 }
 
 #[test]
 fn des_agrees_with_analytic_bound_on_isl_paths() {
-    let links = vec![Link::new(10e9, 0.004), Link::new(10e9, 0.002)];
-    let mut net = DesNetwork::new();
-    let ids: Vec<_> = links.iter().map(|&l| net.add_link(l)).collect();
-    let id = net.schedule_transfer(ids, 1e9, 0.0);
-    let rec = net.run()[id.0];
-    let expect = uncontended_transfer_s(1e9, &links);
-    assert!((rec.duration_s() - expect).abs() < 1e-9);
+    // One packet carrying the whole message is the message-level
+    // store-and-forward transfer: the two analytic bounds coincide.
+    let links = [Link::new(10e9, 0.004), Link::new(10e9, 0.002)];
+    let packet_links: Vec<_> = links
+        .iter()
+        .map(|l| CongestionLink::new(l.rate_bps, l.prop_delay_s, 1))
+        .collect();
+    let message = uncontended_transfer_s(1e9, &links);
+    let one_packet = uncontended_packet_transfer_s(1e9, 1, &packet_links);
+    assert!((message - one_packet).abs() < 1e-12);
+
+    // An uncontended migration over a routed multi-hop ISL path lands
+    // on the packetized bound, below the message-level one.
+    let service = InOrbitService::new(starlink_550_only());
+    let out = migrate_via_packets(
+        &service,
+        SatId(0),
+        SatId(3),
+        0.0,
+        100e6,
+        &MigrationNetConfig::default(),
+    );
+    let t = out.duration_s.expect("uncontended transfer completes");
+    assert!(out.hops > 1, "expected a multi-hop route, got {}", out.hops);
+    assert!(out.analytic_packet_s < out.analytic_message_s);
+    assert!(t >= out.analytic_packet_s - 1e-9);
+    assert!(t <= out.analytic_packet_s * 1.15, "measured {t}");
 }
 
 #[test]

@@ -5,10 +5,12 @@
 //! the chosen path's left-to-right summation — so any divergence at all
 //! means the engine wired an edge differently.
 
-use in_orbit::net::engine::{DijkstraArena, RoutingEngine};
+use in_orbit::net::engine::{DijkstraArena, IslWeights, RoutingEngine};
 use in_orbit::net::routing::{self, build_graph, delays_to_all_sats};
+use in_orbit::net::{FaultPlan, NodeId, Path};
 use in_orbit::prelude::*;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn small_constellation() -> Constellation {
     use in_orbit::constellation::{ShellSpec, WalkerPattern};
@@ -51,6 +53,78 @@ fn assert_bulk_bitwise(c: &Constellation, t: f64, users: &[GroundEndpoint]) {
     }
 }
 
+/// The refreshed weight of the ISL between `u` and `v`, or `None` when
+/// the topology has no such edge. Engine edge ids follow the order of
+/// `IslTopology::edges`.
+fn isl_weight(topo: &IslTopology, weights: &IslWeights, u: SatId, v: SatId) -> Option<f64> {
+    let (a, b) = if u.0 < v.0 { (u, v) } else { (v, u) };
+    topo.edges()
+        .iter()
+        .position(|e| e.a == a && e.b == b)
+        .map(|i| weights.delay_s(i))
+}
+
+/// The satellites of an ISL-only reference path.
+fn sat_route(path: &Path) -> Vec<SatId> {
+    path.nodes
+        .iter()
+        .map(|n| match n {
+            NodeId::Sat(s) => *s,
+            NodeId::Ground(_) => unreachable!("no grounds attached"),
+        })
+        .collect()
+}
+
+/// True when no hop of the reference path has an equal-cost alternative:
+/// every node after the source has exactly one ISL neighbour `u` with
+/// `dist[u] + w(u, v) == dist[v]` over the reference graph's distances.
+fn has_unique_predecessors(
+    graph: &NetworkGraph,
+    topo: &IslTopology,
+    weights: &IslWeights,
+    route: &[SatId],
+) -> bool {
+    let dist: HashMap<NodeId, f64> = graph
+        .shortest_paths_from(NodeId::Sat(route[0]))
+        .into_iter()
+        .collect();
+    let dist_of = |s: SatId| dist.get(&NodeId::Sat(s)).copied().unwrap_or(f64::INFINITY);
+    route[1..].iter().all(|&v| {
+        topo.neighbors(v)
+            .iter()
+            .filter(|&&u| {
+                let w = isl_weight(topo, weights, u, v).expect("neighbours share an edge");
+                dist_of(u) + w == dist_of(v)
+            })
+            .count()
+            == 1
+    })
+}
+
+/// Checks that `route` runs from `a` to `b` over ISL-adjacent hops with
+/// finite weights.
+fn check_route(
+    topo: &IslTopology,
+    weights: &IslWeights,
+    route: &[SatId],
+    a: SatId,
+    b: SatId,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(route.first(), Some(&a));
+    prop_assert_eq!(route.last(), Some(&b));
+    for hop in route.windows(2) {
+        let w = isl_weight(topo, weights, hop[0], hop[1]);
+        prop_assert!(
+            w.is_some_and(f64::is_finite),
+            "hop {}->{} is not a live ISL ({:?})",
+            hop[0],
+            hop[1],
+            w
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -72,11 +146,15 @@ proptest! {
     }
 
     /// Early-exit satellite-to-satellite queries match the graph path,
-    /// with and without a ground segment to relay through.
+    /// with and without a ground segment to relay through, and the
+    /// recovered ISL route is a shortest route of the reference graph —
+    /// under a fault mask too.
     #[test]
     fn sat_to_sat_is_bit_identical(
         a in 0u32..100,
         b in 0u32..100,
+        dead in 0u32..100,
+        cut in 0usize..200,
         lat in -50.0..50.0f64,
         t in 0.0..7200.0f64,
     ) {
@@ -92,12 +170,47 @@ proptest! {
         let fast = engine.sat_to_sat_delay(&weights, None, SatId(a), SatId(b), &mut arena);
         prop_assert_eq!(slow.map(f64::to_bits), fast.map(f64::to_bits));
 
+        // Route recovery: the engine's path has the reference delay, bit
+        // for bit, runs over live ISLs, and is the reference node sequence
+        // wherever that sequence has no equal-cost alternative.
+        let (a, b) = (SatId(a), SatId(b));
+        let reference = routing::sat_to_sat(&graph, a, b);
+        let path = engine.sat_to_sat_path(&weights, a, b, &mut arena);
+        prop_assert_eq!(
+            path.as_ref().map(|p| p.0.to_bits()),
+            reference.as_ref().map(|p| p.delay_s.to_bits())
+        );
+        if let (Some((_, route)), Some(reference)) = (&path, &reference) {
+            check_route(&topo, &weights, route, a, b)?;
+            let expect = sat_route(reference);
+            if has_unique_predecessors(&graph, &topo, &weights, &expect) {
+                prop_assert_eq!(route, &expect);
+            }
+        }
+
+        // Under a masked refresh no hop touches a dead satellite or a cut
+        // ISL, and the path delay is the masked early-exit delay.
+        let mut plan = FaultPlan::empty();
+        plan.kill(SatId(dead));
+        let edge = topo.edges()[cut % topo.edges().len()];
+        plan.cut_link(edge.a, edge.b);
+        let mut masked = IslWeights::default();
+        engine.refresh_into_masked(&snap, &plan, &mut masked);
+        let path = engine.sat_to_sat_path(&masked, a, b, &mut arena);
+        let delay = engine.sat_to_sat_delay(&masked, None, a, b, &mut arena);
+        prop_assert_eq!(path.as_ref().map(|p| p.0.to_bits()), delay.map(f64::to_bits));
+        if let Some((_, route)) = &path {
+            check_route(&topo, &masked, route, a, b)?;
+            for hop in route.windows(2) {
+                prop_assert!(!plan.isl_edge_masked(hop[0], hop[1]));
+            }
+        }
+
         let grounds = [GroundEndpoint::new(0, Geodetic::ground(lat, 0.0))];
         let links = engine.attach_scan(&c, &snap, &grounds);
         let relayed_graph = build_graph(&c, &topo, &snap, &grounds);
-        let slow = routing::sat_to_sat(&relayed_graph, SatId(a), SatId(b)).map(|p| p.delay_s);
-        let fast =
-            engine.sat_to_sat_delay(&weights, Some(&links), SatId(a), SatId(b), &mut arena);
+        let slow = routing::sat_to_sat(&relayed_graph, a, b).map(|p| p.delay_s);
+        let fast = engine.sat_to_sat_delay(&weights, Some(&links), a, b, &mut arena);
         prop_assert_eq!(slow.map(f64::to_bits), fast.map(f64::to_bits));
     }
 

@@ -88,8 +88,7 @@ proptest! {
             GroundEndpoint::new(0, Geodetic::ground(lat1, 0.0)),
             GroundEndpoint::new(1, Geodetic::ground(lat2, dlon)),
         ];
-        let snap = service.snapshot(t);
-        let per_user = service.user_delays(&snap, &users);
+        let per_user = service.user_delays_view(&service.view(t), &users);
         let group = GroupDelays::from_user_delays(&per_user);
         for sat in 0..group.len() {
             let id = SatId(sat as u32);
