@@ -23,7 +23,11 @@
 //! across `LEO_THREADS` and `LEO_OBS` levels; the `net.pkt.*` counters
 //! and time series are accumulated on the sequential fold over the
 //! cell grid, so the manifest's work-done metrics are thread-invariant
-//! too. CI greps the `#`-prefixed identity markers printed below.
+//! too. The exception is `net.pkt.events`, which the packet engine adds
+//! once per run call: a sum of per-transfer counts, so it is
+//! thread-invariant as well. With metrics on, the run ends by printing
+//! the transfers phase's DES events/sec. CI greps the `#`-prefixed
+//! identity markers printed below.
 
 use leo_bench::cli::{Run, RunConfig};
 use leo_constellation::{presets, SatId};
@@ -152,6 +156,10 @@ fn main() {
             })
         })
         .collect();
+    // Packet-DES events of the sweep alone (the identity checks rerun a
+    // transfer later); zero unless metrics are on.
+    let events = leo_obs::counter!("net.pkt.events");
+    let events_before = events.value();
     let outcomes: Vec<MigrationOutcome> = run.phase("transfers", || {
         parallel_map(combos.clone(), threads, |(_, size, load, from, to, at)| {
             let cfg = MigrationNetConfig {
@@ -161,6 +169,8 @@ fn main() {
             migrate_via_packets(&service, *from, *to, *at, *size, &cfg)
         })
     });
+
+    let transfer_events = events.value() - events_before;
 
     // Sequential fold in grid order: build the cells and accumulate the
     // net.pkt.* counters / time series here — never inside the workers —
@@ -348,5 +358,12 @@ fn main() {
         step_s,
         cells,
     });
-    run.finish();
+    let manifest = run.finish();
+    let wall = manifest.phase_wall("transfers").unwrap_or(0.0);
+    if transfer_events > 0 && wall > 0.0 {
+        println!(
+            "# packet DES: {transfer_events} events, {:.0} events/sec over the transfers phase",
+            transfer_events as f64 / wall
+        );
+    }
 }

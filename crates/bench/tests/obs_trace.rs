@@ -246,3 +246,30 @@ fn trace_export_is_valid_and_nests_per_thread() {
 
     let _ = std::fs::remove_dir_all(&out_dir);
 }
+
+#[test]
+fn packet_des_counts_every_event_it_processes() {
+    use leo_net::congestion::{
+        CbrFlow, CcAlgorithm, CongestionLink, CongestionNetwork, WindowedFlow,
+    };
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    leo_obs::set_level(Level::Metrics);
+    leo_obs::reset();
+    let mut net = CongestionNetwork::new();
+    let l = net.add_link(CongestionLink::new(10e6, 2e-3, 8).with_ecn(4));
+    net.add_cbr(CbrFlow::with_load(vec![l], 8e3, 8e6, 0.0, 1.0));
+    net.add_windowed(WindowedFlow::new(vec![l], 8e3, 200, 0.0, CcAlgorithm::Aimd));
+    // Three run calls: stopped at a horizon, at completion, then drained.
+    net.run_until(0.05);
+    let after_horizon = net.events();
+    net.run_while_incomplete(f64::INFINITY);
+    net.run();
+    let counted = leo_obs::counter!("net.pkt.events").value();
+    leo_obs::set_level(Level::Off);
+    assert!(0 < after_horizon && after_horizon < net.events());
+    assert_eq!(
+        counted,
+        net.events(),
+        "net.pkt.events must total every run call"
+    );
+}

@@ -286,8 +286,9 @@ pub struct MigrationOutcome {
 ///
 /// # Panics
 /// Panics on a non-positive or non-finite size, a non-finite start, a
-/// non-positive segment length, or a `from`/`to` that is not a satellite
-/// of the service.
+/// non-positive segment length, a negative or non-finite cross-load,
+/// zero `max_segments`, or a `from`/`to` that is not a satellite of the
+/// service.
 pub fn migrate_via_packets(
     service: &InOrbitService,
     from: SatId,
@@ -308,6 +309,15 @@ pub fn migrate_via_packets(
         cfg.segment_s.is_finite() && cfg.segment_s > 0.0,
         "segment length must be positive and finite, got {}",
         cfg.segment_s
+    );
+    assert!(
+        cfg.cross_load_frac.is_finite() && cfg.cross_load_frac >= 0.0,
+        "cross-traffic load must be a finite non-negative fraction, got {}",
+        cfg.cross_load_frac
+    );
+    assert!(
+        cfg.max_segments > 0,
+        "a migration needs at least one route segment"
     );
     let num_sats = service.num_servers();
     for s in [from, to] {
@@ -580,6 +590,36 @@ mod tests {
     #[should_panic(expected = "satellite 9999 out of range")]
     fn migrating_to_an_unknown_satellite_is_rejected() {
         migrate_via_packets(&service(), SatId(0), SatId(9999), 0.0, 1e6, &mig_cfg());
+    }
+
+    #[test]
+    #[should_panic(expected = "cross-traffic load must be a finite non-negative fraction")]
+    fn nan_cross_load_is_rejected() {
+        let cfg = MigrationNetConfig {
+            cross_load_frac: f64::NAN,
+            ..mig_cfg()
+        };
+        migrate_via_packets(&service(), SatId(0), SatId(3), 0.0, 1e6, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "cross-traffic load must be a finite non-negative fraction")]
+    fn negative_cross_load_is_rejected() {
+        let cfg = MigrationNetConfig {
+            cross_load_frac: -0.5,
+            ..mig_cfg()
+        };
+        migrate_via_packets(&service(), SatId(0), SatId(3), 0.0, 1e6, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one route segment")]
+    fn zero_max_segments_is_rejected() {
+        let cfg = MigrationNetConfig {
+            max_segments: 0,
+            ..mig_cfg()
+        };
+        migrate_via_packets(&service(), SatId(0), SatId(3), 0.0, 1e6, &cfg);
     }
 
     #[test]

@@ -34,11 +34,36 @@
 //!   above the path's bandwidth-delay product runs at line rate without
 //!   overflowing the first queue.
 //!
-//! Determinism: the engine is a single sequential event loop; ties in event
-//! time are broken by a fixed event-kind rank (transmit completions before
-//! ACKs before timeouts before pacing before emissions before enqueues) and
-//! then by insertion order. Two runs of the same configuration produce
-//! identical results, independent of thread count or observability level.
+//! # Event core
+//!
+//! The engine is a single sequential event loop that pops events in
+//! `(time, kind rank, insertion seq)` order: ties in time go to transmit
+//! completions, then ACKs, timeouts, pacing, emissions and enqueues, and
+//! then to the earlier-scheduled event. Two runs of the same configuration
+//! produce identical results, independent of thread count or observability
+//! level.
+//!
+//! Pending events do not share one heap. Each (object, kind) pair owns a
+//! FIFO lane, and every lane is sorted by construction:
+//!
+//! * a link's `TxDone`, a flow's pacer and a CBR flow's next emission are
+//!   singletons — at most one is ever pending;
+//! * a link's forwards to the next hop (`Enqueue`, at `now + prop_delay`),
+//!   a flow's ACKs (at the final hop's `now + prop_delay + ack_delay`) and
+//!   its retransmission timers (at `now + rto`) are each `now` plus a
+//!   per-object constant, and `now` never decreases.
+//!
+//! A small binary heap holds only the head of each non-empty lane, at most
+//! `2 · links + 3 · flows + CBR flows` entries. Popping the minimum head
+//! and re-keying its lane with the lane's next event is a k-way merge of
+//! sorted runs, so it yields exactly the order one heap of every event
+//! would, exact-time ties included. Scheduling an event before its lane's
+//! tail would break that, and panics. A lane its pop empties (a singleton,
+//! typically) keeps its stale head parked at the top of the heap while the
+//! handler runs, so the usual refill costs one in-place re-key rather than
+//! a pop and a push. [`CongestionNetwork::events`] counts
+//! the events processed; each run call adds its count to the
+//! `net.pkt.events` counter once.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -365,6 +390,7 @@ impl Ev {
     }
 }
 
+/// A scheduled event, queued in its lane.
 #[derive(Debug)]
 struct Event {
     time_s: f64,
@@ -372,25 +398,44 @@ struct Event {
     kind: Ev,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+/// The head of a non-empty lane in the merge heap, ordered so the
+/// max-heap pops the earliest `(time, rank, seq)` first. `seq` is unique,
+/// so `lane` never takes part in the order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Head {
+    /// `time_s` as an integer with the order of [`f64::total_cmp`].
+    time_key: i64,
+    /// Event-kind rank in the top byte, insertion sequence below it.
+    rank_seq: u64,
+    lane: u32,
+}
+
+impl Head {
+    fn of(ev: &Event, lane: u32) -> Self {
+        let bits = ev.time_s.to_bits() as i64;
+        debug_assert!(ev.seq < 1 << 56, "event sequence overflows its key");
+        Self {
+            // The bit trick `f64::total_cmp` compares with.
+            time_key: bits ^ (((bits >> 63) as u64) >> 1) as i64,
+            rank_seq: (ev.kind.rank() as u64) << 56 | ev.seq,
+            lane,
+        }
     }
 }
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
+
+impl Ord for Head {
     // Reversed: BinaryHeap is a max-heap, we want earliest-first.
     fn cmp(&self, other: &Self) -> Ordering {
         other
-            .time_s
-            .total_cmp(&self.time_s)
-            .then_with(|| other.kind.rank().cmp(&self.kind.rank()))
-            .then_with(|| other.seq.cmp(&self.seq))
+            .time_key
+            .cmp(&self.time_key)
+            .then_with(|| other.rank_seq.cmp(&self.rank_seq))
+    }
+}
+
+impl PartialOrd for Head {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -398,6 +443,11 @@ struct LinkState {
     cfg: CongestionLink,
     busy: Option<Pkt>,
     queue: VecDeque<Pkt>,
+    /// Lane of this link's `TxDone` (at most one pending).
+    tx_lane: u32,
+    /// Lane of the `Enqueue`s this link forwards to the next hop, each
+    /// at `now + prop_delay`.
+    fwd_lane: u32,
 }
 
 struct WinState {
@@ -405,6 +455,12 @@ struct WinState {
     /// Pure-delay reverse path for ACKs: sum of forward propagation delays.
     ack_delay_s: f64,
     rto_s: f64,
+    /// Lane of the ACKs, each at final-hop `now + prop + ack_delay`.
+    ack_lane: u32,
+    /// Lane of the retransmission timers, each at `now + rto`.
+    timeout_lane: u32,
+    /// Lane of the pacer (at most one pending).
+    pace_lane: u32,
     // --- sender ---
     cwnd: f64,
     ssthresh: f64,
@@ -456,11 +512,22 @@ impl WinState {
 
 struct CbrState {
     cfg: CbrFlow,
+    /// Lane of the next emission (at most one pending).
+    emit_lane: u32,
     emitted: u64,
     delivered: u64,
     dropped: u64,
     ecn_marked: u64,
     latency_sum_s: f64,
+}
+
+/// A schedule or a pop, as the test-only differential oracle replays it:
+/// `(time, rank, seq)` of the event.
+#[cfg(test)]
+#[derive(Debug)]
+enum Logged {
+    Schedule(f64, u8, u64),
+    Pop(f64, u8, u64),
 }
 
 /// The congestion-aware packet network: drop-tail ECN-marking links shared
@@ -470,10 +537,21 @@ pub struct CongestionNetwork {
     links: Vec<LinkState>,
     wins: Vec<WinState>,
     cbrs: Vec<CbrState>,
-    heap: BinaryHeap<Event>,
+    /// Pending events, one time-sorted FIFO per (object, event kind).
+    lanes: Vec<VecDeque<Event>>,
+    /// The head of every non-empty lane, plus the parked lane's stale
+    /// head at the top.
+    heads: BinaryHeap<Head>,
+    /// A lane its last pop emptied whose stale head is still the heap's
+    /// top (see [`schedule`](Self::schedule)).
+    parked: Option<u32>,
     now_s: f64,
     event_seq: u64,
+    events: u64,
     incomplete_wins: usize,
+    /// Every schedule and pop, when a test switches logging on.
+    #[cfg(test)]
+    log: Option<Vec<Logged>>,
 }
 
 impl CongestionNetwork {
@@ -491,10 +569,13 @@ impl CongestionNetwork {
             Some(t) => validated.with_ecn(t),
             None => validated,
         };
+        let (tx_lane, fwd_lane) = (self.new_lane(), self.new_lane());
         self.links.push(LinkState {
             cfg: validated,
             busy: None,
             queue: VecDeque::new(),
+            tx_lane,
+            fwd_lane,
         });
         CLinkId(self.links.len() - 1)
     }
@@ -571,9 +652,14 @@ impl CongestionNetwork {
         let start_s = flow.start_s;
         let init_cwnd = flow.init_cwnd;
         let id = self.wins.len();
+        let (ack_lane, timeout_lane, pace_lane) =
+            (self.new_lane(), self.new_lane(), self.new_lane());
         self.wins.push(WinState {
             ack_delay_s,
             rto_s,
+            ack_lane,
+            timeout_lane,
+            pace_lane,
             cwnd: init_cwnd,
             ssthresh,
             srtt_s: base_rtt_s,
@@ -609,7 +695,7 @@ impl CongestionNetwork {
             cfg: flow,
         });
         self.incomplete_wins += 1;
-        self.schedule(start_s, Ev::Pace { flow: id });
+        self.schedule(pace_lane, start_s, Ev::Pace { flow: id });
         SenderId(id)
     }
 
@@ -624,15 +710,17 @@ impl CongestionNetwork {
         );
         let id = self.cbrs.len();
         let start_s = flow.start_s;
+        let emit_lane = self.new_lane();
         self.cbrs.push(CbrState {
             cfg: flow,
+            emit_lane,
             emitted: 0,
             delivered: 0,
             dropped: 0,
             ecn_marked: 0,
             latency_sum_s: 0.0,
         });
-        self.schedule(start_s, Ev::Emit { cbr: id, k: 0 });
+        self.schedule(emit_lane, start_s, Ev::Emit { cbr: id, k: 0 });
         CbrId(id)
     }
 
@@ -659,16 +747,20 @@ impl CongestionNetwork {
     }
 
     fn drive(&mut self, horizon_s: f64, stop_on_complete: bool) -> bool {
-        loop {
+        let first_event = self.events;
+        let stopped = loop {
             if stop_on_complete && self.incomplete_wins == 0 {
-                return true;
+                break true;
             }
-            let Some(ev) = self.heap.peek() else { break };
-            if ev.time_s > horizon_s {
-                break;
+            let Some(ev) = self.pop_due(horizon_s) else {
+                break false;
+            };
+            #[cfg(test)]
+            if let Some(log) = &mut self.log {
+                log.push(Logged::Pop(ev.time_s, ev.kind.rank(), ev.seq));
             }
-            let ev = self.heap.pop().expect("peeked event");
             self.now_s = ev.time_s;
+            self.events += 1;
             match ev.kind {
                 Ev::TxDone { link } => self.on_tx_done(link),
                 Ev::Ack {
@@ -682,6 +774,10 @@ impl CongestionNetwork {
                 Ev::Emit { cbr, k } => self.on_emit(cbr, k),
                 Ev::Enqueue { link, pkt } => self.enqueue(link, pkt),
             }
+        };
+        leo_obs::counter!("net.pkt.events").add(self.events - first_event);
+        if stopped {
+            return true;
         }
         if horizon_s.is_finite() && horizon_s > self.now_s {
             self.now_s = horizon_s;
@@ -689,9 +785,35 @@ impl CongestionNetwork {
         self.incomplete_wins == 0
     }
 
+    /// Pops the earliest pending event if it is due by `horizon_s`: the
+    /// minimum lane head, whose lane is then re-keyed in place by its next
+    /// event (one sift). A lane the pop empties is parked instead of
+    /// retired (see [`schedule`](Self::schedule)).
+    fn pop_due(&mut self, horizon_s: f64) -> Option<Event> {
+        if self.parked.take().is_some() {
+            self.heads.pop();
+        }
+        let mut head = self.heads.peek_mut()?;
+        let lane = &mut self.lanes[head.lane as usize];
+        if lane.front().expect("heads name non-empty lanes").time_s > horizon_s {
+            return None;
+        }
+        let ev = lane.pop_front();
+        match lane.front() {
+            Some(next) => *head = Head::of(next, head.lane),
+            None => self.parked = Some(head.lane),
+        }
+        ev
+    }
+
     /// Current simulated time.
     pub fn now_s(&self) -> f64 {
         self.now_s
+    }
+
+    /// Events processed so far, over every run call.
+    pub fn events(&self) -> u64 {
+        self.events
     }
 
     /// True once every windowed flow has delivered all its packets.
@@ -727,11 +849,55 @@ impl CongestionNetwork {
         }
     }
 
-    fn schedule(&mut self, time_s: f64, kind: Ev) {
+    fn new_lane(&mut self) -> u32 {
+        self.lanes.push(VecDeque::new());
+        u32::try_from(self.lanes.len() - 1).expect("too many event lanes")
+    }
+
+    /// Appends an event to `lane`. A lane is a FIFO, so every event must
+    /// come at or after the lane's last one; the merge over lane heads
+    /// then pops in exactly the global `(time, rank, seq)` order.
+    ///
+    /// Singleton lanes (a link's transmit completion, a pacer, a CBR
+    /// emission) are emptied by every pop and mostly refilled by the
+    /// handler that runs next. So the popped lane's stale head stays at
+    /// the top of the heap, parked, while its handler runs: a refill
+    /// re-keys it in place instead of a pop plus a push. It is still the
+    /// top when the refill comes, because no event is scheduled before
+    /// `now`; one that sorts ahead of it (same instant, lower rank)
+    /// retires it first, and the next pop retires it if no refill came.
+    fn schedule(&mut self, lane: u32, time_s: f64, kind: Ev) {
         debug_assert!(time_s.is_finite());
         let seq = self.event_seq;
         self.event_seq += 1;
-        self.heap.push(Event { time_s, seq, kind });
+        #[cfg(test)]
+        if let Some(log) = &mut self.log {
+            log.push(Logged::Schedule(time_s, kind.rank(), seq));
+        }
+        let ev = Event { time_s, seq, kind };
+        let queue = &mut self.lanes[lane as usize];
+        if let Some(back) = queue.back() {
+            assert!(
+                back.time_s.total_cmp(&time_s).is_le(),
+                "event lane {lane} is a FIFO: {kind:?} at t={time_s} scheduled behind t={}",
+                back.time_s
+            );
+        } else {
+            let head = Head::of(&ev, lane);
+            match self.parked {
+                Some(parked) if parked == lane => {
+                    self.parked = None;
+                    *self.heads.peek_mut().expect("a parked head") = head;
+                }
+                Some(_) if head > *self.heads.peek().expect("a parked head") => {
+                    self.parked = None;
+                    self.heads.pop();
+                    self.heads.push(head);
+                }
+                _ => self.heads.push(head),
+            }
+        }
+        queue.push_back(ev);
     }
 
     fn packet_bits(&self, src: Src) -> f64 {
@@ -755,7 +921,8 @@ impl CongestionNetwork {
         if l.busy.is_none() {
             l.busy = Some(pkt);
             let tx = bits / l.cfg.rate_bps;
-            self.schedule(now + tx, Ev::TxDone { link });
+            let lane = l.tx_lane;
+            self.schedule(lane, now + tx, Ev::TxDone { link });
         } else if l.queue.len() < l.cfg.queue_packets {
             if let Some(th) = l.cfg.ecn_threshold {
                 if l.queue.len() >= th {
@@ -775,13 +942,14 @@ impl CongestionNetwork {
         let l = &mut self.links[link];
         let pkt = l.busy.take().expect("TxDone on idle link");
         let prop = l.cfg.prop_delay_s;
+        let (tx_lane, fwd_lane) = (l.tx_lane, l.fwd_lane);
         if let Some(next) = l.queue.pop_front() {
             let bits = self.packet_bits(next.src);
             let l = &mut self.links[link];
             l.busy = Some(next);
             let tx = bits / l.cfg.rate_bps;
             let now = self.now_s;
-            self.schedule(now + tx, Ev::TxDone { link });
+            self.schedule(tx_lane, now + tx, Ev::TxDone { link });
         }
         let arrival = self.now_s + prop;
         if pkt.hop + 1 < self.route_len(pkt.src) {
@@ -790,6 +958,7 @@ impl CongestionNetwork {
                 Src::Cbr(i) => self.cbrs[i].cfg.route[pkt.hop + 1].0,
             };
             self.schedule(
+                fwd_lane,
                 arrival,
                 Ev::Enqueue {
                     link: next_link,
@@ -836,9 +1005,10 @@ impl CongestionNetwork {
                         self.incomplete_wins -= 1;
                     }
                 }
-                let cum = self.wins[i].rcv_cum;
-                let ack_delay = self.wins[i].ack_delay_s;
+                let cum = w.rcv_cum;
+                let (lane, ack_delay) = (w.ack_lane, w.ack_delay_s);
                 self.schedule(
+                    lane,
                     arrival_s + ack_delay,
                     Ev::Ack {
                         flow: i,
@@ -988,7 +1158,8 @@ impl CongestionNetwork {
         }
         w.pace_scheduled = true;
         let at = w.next_release_s.max(self.now_s);
-        self.schedule(at, Ev::Pace { flow });
+        let lane = w.pace_lane;
+        self.schedule(lane, at, Ev::Pace { flow });
     }
 
     fn on_pace(&mut self, flow: usize) {
@@ -1029,7 +1200,7 @@ impl CongestionNetwork {
         }
         let txn = w.tx_count[s];
         let first_link = w.cfg.route[0].0;
-        let rto = w.rto_s;
+        let (rto, timeout_lane) = (w.rto_s, w.timeout_lane);
         // Pace at cwnd per srtt.
         let interval = w.srtt_s.max(1e-9) / w.cwnd.max(1.0);
         w.next_release_s = now + interval;
@@ -1040,7 +1211,7 @@ impl CongestionNetwork {
             marked: false,
         };
         self.enqueue(first_link, pkt);
-        self.schedule(now + rto, Ev::Timeout { flow, seq, txn });
+        self.schedule(timeout_lane, now + rto, Ev::Timeout { flow, seq, txn });
         self.arm_pacer(flow);
     }
 
@@ -1049,7 +1220,7 @@ impl CongestionNetwork {
         let c = &mut self.cbrs[cbr];
         c.emitted += 1;
         let first_link = c.cfg.route[0].0;
-        let interval = c.cfg.interval_s;
+        let (interval, emit_lane) = (c.cfg.interval_s, c.emit_lane);
         let more = k + 1 < c.cfg.packets;
         let pkt = Pkt {
             src: Src::Cbr(cbr),
@@ -1059,7 +1230,7 @@ impl CongestionNetwork {
         };
         self.enqueue(first_link, pkt);
         if more {
-            self.schedule(now + interval, Ev::Emit { cbr, k: k + 1 });
+            self.schedule(emit_lane, now + interval, Ev::Emit { cbr, k: k + 1 });
         }
     }
 }
@@ -1483,6 +1654,322 @@ mod tests {
         assert_eq!((s.emitted, s.delivered, s.dropped), (0, 0, 0));
         assert_eq!(s.delivery_ratio(), 1.0);
         assert_eq!(s.mean_latency_s(), None);
+    }
+
+    /// Every field of `WindowedStats`, floats as raw bits, so golden
+    /// comparisons are exact.
+    fn windowed_bits(s: &WindowedStats) -> [u64; 9] {
+        [
+            s.transmissions,
+            s.retransmissions,
+            s.arrivals,
+            s.delivered,
+            s.dropped,
+            s.ecn_marked,
+            s.completion_s.map_or(u64::MAX, f64::to_bits),
+            s.final_cwnd.to_bits(),
+            s.srtt_s.to_bits(),
+        ]
+    }
+
+    /// Every field of `CbrStats`, the latency sum as raw bits.
+    fn cbr_bits(s: &CbrStats) -> [u64; 5] {
+        [
+            s.emitted,
+            s.delivered,
+            s.dropped,
+            s.ecn_marked,
+            s.latency_sum_s.to_bits(),
+        ]
+    }
+
+    /// Golden pin: a 3-hop DCTCP transfer against 0.9 CBR load on every
+    /// hop, with queues small enough to force drops and retransmissions.
+    /// The numbers were recorded on the all-events heap that preceded
+    /// the lane merge; any change to the event order moves them.
+    #[test]
+    fn contended_three_hop_dctcp_transfer_is_pinned() {
+        let mut net = CongestionNetwork::new();
+        let route: Vec<CLinkId> = [2e-3, 1e-3, 3e-3]
+            .iter()
+            .map(|&prop| net.add_link(CongestionLink::new(100e6, prop, 12).with_ecn(4)))
+            .collect();
+        let cross: Vec<CbrId> = route
+            .iter()
+            .map(|&l| net.add_cbr(CbrFlow::with_load(vec![l], 12e3, 0.9 * 100e6, 0.0, 1.0)))
+            .collect();
+        let mut f = WindowedFlow::new(route, 12e3, 600, 0.0, CcAlgorithm::Dctcp { gain: 0.0625 });
+        f.init_cwnd = 32.0;
+        let id = net.add_windowed(f);
+        net.run();
+        let w = net.windowed_stats(id);
+        assert!(w.dropped > 0 && w.retransmissions > 0, "{w:?}");
+        let got_w = windowed_bits(&w);
+        let got_c: Vec<[u64; 5]> = cross.iter().map(|&c| cbr_bits(&net.cbr_stats(c))).collect();
+        assert_eq!(got_w, GOLDEN_WINDOWED, "{w:?}");
+        assert_eq!(got_c, GOLDEN_CBR);
+    }
+
+    /// Completion 0.8353066666666191 s, final window 13.812493491427826,
+    /// srtt 0.012986600506755675 s.
+    const GOLDEN_WINDOWED: [u64; 9] = [
+        620,
+        20,
+        600,
+        600,
+        20,
+        207,
+        4605698993130756170,
+        4623965360622389870,
+        4578639887279041837,
+    ];
+    const GOLDEN_CBR: [[u64; 5]; 3] = [
+        [7500, 7477, 23, 1627, 4625640333465164282],
+        [7500, 7483, 17, 1415, 4621815582263185790],
+        [7500, 7486, 14, 1238, 4627694558698796197],
+    ];
+
+    /// Golden pin of the downlink-contention example's oversubscribed
+    /// row (11 Gbps EO bulk next to 100 Mbps of user traffic). Its CBR
+    /// flows are phase-locked, so the row depends on how exact-time ties
+    /// between emissions and transmit completions resolve.
+    #[test]
+    fn phase_locked_downlink_row_is_pinned() {
+        let mut net = CongestionNetwork::new();
+        let downlink = net.add_link(CongestionLink::new(10e9, 0.002, 256));
+        let user = net.add_cbr(CbrFlow {
+            route: vec![downlink],
+            packet_bits: 12_000.0,
+            interval_s: 12_000.0 / 0.1e9,
+            start_s: 0.0,
+            packets: 2_000,
+        });
+        let bulk = net.add_cbr(CbrFlow {
+            route: vec![downlink],
+            packet_bits: 120_000.0,
+            interval_s: 120_000.0 / 11e9,
+            start_s: 0.0,
+            packets: (11e9 / 120_000.0 * 0.25) as u64,
+        });
+        net.run();
+        let got = [
+            cbr_bits(&net.cbr_stats(user)),
+            cbr_bits(&net.cbr_stats(bulk)),
+        ];
+        assert_eq!(got, GOLDEN_DOWNLINK);
+    }
+
+    /// The user flow delivers 233 of 2,000 packets (11.7 %).
+    const GOLDEN_DOWNLINK: [[u64; 5]; 2] = [
+        [2000, 233, 1767, 0, 4605598855893282753],
+        [22916, 21065, 1851, 0, 4636948522040086362],
+    ];
+
+    /// A `(time, rank, seq)` key in the order of the all-events heap the
+    /// lane merge replaced.
+    #[derive(Debug, PartialEq)]
+    struct PlainKey(f64, u8, u64);
+
+    impl Eq for PlainKey {}
+
+    impl Ord for PlainKey {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.0
+                .total_cmp(&other.0)
+                .then(self.1.cmp(&other.1))
+                .then(self.2.cmp(&other.2))
+        }
+    }
+
+    impl PartialOrd for PlainKey {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// Differential oracle: replays a run's schedule/pop log through a
+    /// plain min-heap of every pending event and checks that each pop the
+    /// lane merge made is the plain heap's minimum. Returns the number of
+    /// pops.
+    fn replay_through_a_plain_heap(log: &[Logged]) -> Result<usize, String> {
+        let mut heap = BinaryHeap::new();
+        let mut pops = 0;
+        for (i, entry) in log.iter().enumerate() {
+            match *entry {
+                Logged::Schedule(t, rank, seq) => {
+                    heap.push(std::cmp::Reverse(PlainKey(t, rank, seq)))
+                }
+                Logged::Pop(t, rank, seq) => {
+                    let want = heap.pop().map(|k| k.0);
+                    if want.as_ref() != Some(&PlainKey(t, rank, seq)) {
+                        return Err(format!(
+                            "entry {i}: lanes popped {:?}, the plain heap {want:?}",
+                            (t, rank, seq)
+                        ));
+                    }
+                    pops += 1;
+                }
+            }
+        }
+        Ok(pops)
+    }
+
+    /// Builds a logged network for the oracle: `links` as (rate index,
+    /// propagation index, queue), windowed flows as (first link, hops,
+    /// packets, start index, DCTCP?) over consecutive links, CBR flows as
+    /// (first link, hops, interval multiple, packets). Rates are 1, 2 and
+    /// 4 Mbps, propagation index 0 is zero propagation, and every
+    /// start and CBR interval is a multiple of an 8 kbit packet's
+    /// serialization time at 1 Mbps, so emissions, transmit completions
+    /// and forwards land on the same instants.
+    fn oracle_net(
+        links: &[(usize, usize, usize)],
+        wins: &[(usize, usize, u64, usize, bool)],
+        cbrs: &[(usize, usize, u64, u64)],
+    ) -> (CongestionNetwork, Vec<SenderId>) {
+        const BITS: f64 = 8e3;
+        let tick = BITS / 1e6;
+        let mut net = CongestionNetwork::new();
+        net.log = Some(Vec::new());
+        let ids: Vec<CLinkId> = links
+            .iter()
+            .map(|&(rate, prop, queue)| {
+                let l =
+                    CongestionLink::new([1e6, 2e6, 4e6][rate], [0.0, tick, 2.5e-3][prop], queue);
+                net.add_link(if queue > 1 { l.with_ecn(1) } else { l })
+            })
+            .collect();
+        let route = |first: usize, hops: usize| -> Vec<CLinkId> {
+            (0..hops.min(ids.len()))
+                .map(|h| ids[(first + h) % ids.len()])
+                .collect()
+        };
+        for &(first, hops, interval, packets) in cbrs {
+            net.add_cbr(CbrFlow {
+                route: route(first, hops),
+                packet_bits: BITS,
+                interval_s: interval as f64 * tick,
+                start_s: 0.0,
+                packets,
+            });
+        }
+        let senders = wins
+            .iter()
+            .map(|&(first, hops, packets, start, dctcp)| {
+                let algorithm = if dctcp {
+                    CcAlgorithm::Dctcp { gain: 0.0625 }
+                } else {
+                    CcAlgorithm::Aimd
+                };
+                let mut f = WindowedFlow::new(
+                    route(first, hops),
+                    BITS,
+                    packets,
+                    start as f64 * tick,
+                    algorithm,
+                );
+                f.init_cwnd = 8.0;
+                net.add_windowed(f)
+            })
+            .collect();
+        (net, senders)
+    }
+
+    /// The oracle on one fixed network that is known to hit every hard
+    /// case: exact-time ties between lanes, drop-tail losses and fired
+    /// retransmission timers, across a horizon stop and a resumed run.
+    #[test]
+    fn lane_merge_matches_a_plain_heap_through_ties_drops_and_timeouts() {
+        let (mut net, senders) = oracle_net(
+            &[(0, 0, 1), (1, 1, 0), (0, 2, 3)],
+            &[(0, 3, 40, 0, true), (1, 2, 30, 2, false)],
+            &[(0, 1, 1, 150), (1, 2, 2, 100)],
+        );
+        net.run_until(0.2);
+        net.run();
+        let log = net.log.take().expect("logging on");
+        let pops = replay_through_a_plain_heap(&log).unwrap();
+        assert_eq!(pops as u64, net.events());
+        let popped: Vec<(f64, u8)> = log
+            .iter()
+            .filter_map(|e| match *e {
+                Logged::Pop(t, rank, _) => Some((t, rank)),
+                Logged::Schedule(..) => None,
+            })
+            .collect();
+        let ties = popped.windows(2).filter(|w| w[0].0 == w[1].0).count();
+        let timeouts = popped.iter().filter(|p| p.1 == 2).count();
+        let dropped: u64 = senders.iter().map(|&s| net.windowed_stats(s).dropped).sum();
+        assert!(
+            ties > 0 && timeouts > 0 && dropped > 0,
+            "ties {ties}, timeouts {timeouts}, drops {dropped}"
+        );
+        assert!(net.all_complete());
+    }
+
+    /// Far from t = 0 a short serialization rounds away (`now + tx ==
+    /// now`), so an emission schedules its packet's transmit completion
+    /// at the current instant with a lower rank than its own: an event
+    /// that sorts ahead of the one being processed. The merge must still
+    /// pop in plain-heap order.
+    #[test]
+    fn same_instant_lower_rank_events_keep_the_plain_heap_order() {
+        let mut net = CongestionNetwork::new();
+        net.log = Some(Vec::new());
+        let l = net.add_link(CongestionLink::new(1e9, 0.0, 4));
+        let start_s = 1e15;
+        for _ in 0..2 {
+            net.add_cbr(CbrFlow {
+                route: vec![l],
+                packet_bits: 1e3,
+                interval_s: 1.0,
+                start_s,
+                packets: 3,
+            });
+        }
+        net.run();
+        assert_eq!(
+            start_s + 1e3 / 1e9,
+            start_s,
+            "serialization must round away"
+        );
+        let pops = replay_through_a_plain_heap(&net.log.take().expect("logging on")).unwrap();
+        assert_eq!(pops as u64, net.events());
+        assert_eq!(net.events(), 12, "6 emissions and 6 transmit completions");
+    }
+
+    #[test]
+    #[should_panic(expected = "is a FIFO")]
+    fn scheduling_behind_a_lane_tail_is_rejected() {
+        let (mut net, l) = one_link_net(1e6, 0.0, 4);
+        let lane = net.links[l.0].tx_lane;
+        net.schedule(lane, 2.0, Ev::TxDone { link: l.0 });
+        net.schedule(lane, 1.0, Ev::TxDone { link: l.0 });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The lane merge pops exactly the order of a plain heap of every
+        /// event, on random networks: 1–4 windowed flows on 1–6 hops with
+        /// CBR cross-traffic, queues of 0–4 packets (drops and timeouts),
+        /// zero-propagation links and phase-locked CBR intervals (ties).
+        #[test]
+        fn prop_lane_merge_matches_a_plain_heap(
+            links in proptest::collection::vec((0_usize..3, 0_usize..3, 0_usize..5), 1..7),
+            wins in proptest::collection::vec((0_usize..6, 1_usize..7, 1_u64..40, 0_usize..4, (0_u8..2).prop_map(|x| x == 1)), 1..5),
+            cbrs in proptest::collection::vec((0_usize..6, 1_usize..4, 1_u64..4, 1_u64..120), 0..4),
+            stop_tick in 1_u64..400,
+        ) {
+            let (mut net, _) = oracle_net(&links, &wins, &cbrs);
+            net.run_while_incomplete(stop_tick as f64 * 8e-3);
+            net.run();
+            let log = net.log.take().expect("logging on");
+            let pops = replay_through_a_plain_heap(&log);
+            prop_assert!(pops.is_ok(), "{}", pops.unwrap_err());
+            prop_assert_eq!(pops.unwrap() as u64, net.events());
+            prop_assert!(net.all_complete());
+        }
     }
 
     proptest! {
