@@ -273,3 +273,35 @@ fn packet_des_counts_every_event_it_processes() {
         "net.pkt.events must total every run call"
     );
 }
+
+#[test]
+fn group_watch_counts_one_refresh_per_window_and_every_candidate_tested() {
+    use leo_core::GroupWatch;
+    use leo_net::routing::GroundEndpoint;
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let service = InOrbitService::new(presets::starlink_550_only());
+    let users = [
+        GroundEndpoint::new(0, leo_geo::Geodetic::ground(9.06, 7.49)),
+        GroundEndpoint::new(1, leo_geo::Geodetic::ground(6.52, 3.38)),
+    ];
+    leo_obs::set_level(Level::Metrics);
+    leo_obs::reset();
+    let mut watch = GroupWatch::new(&service, &users);
+    let mut served = 0;
+    // 1 s ticks over [30, 180] touch the windows anchored at 0, 60, 120
+    // and 180.
+    for i in 30..=180 {
+        served += usize::from(watch.delays(i as f64).minmax().is_some());
+    }
+    let refreshes = leo_obs::counter!("group_watch.refreshes").value();
+    let candidates = leo_obs::counter!("group_watch.candidates").value();
+    leo_obs::set_level(Level::Off);
+    assert_eq!(served, 151, "the pair is served throughout");
+    assert_eq!(refreshes, 4);
+    // Every tick tests at least the servers it found, and the window is
+    // a small slice of the 1,584-satellite shell.
+    assert!(
+        (151..151 * 200).contains(&candidates),
+        "{candidates} candidates over 151 ticks"
+    );
+}

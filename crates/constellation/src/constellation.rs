@@ -1,6 +1,7 @@
 //! A whole constellation: identity, propagators, and position snapshots.
 
 use crate::shell::ShellSpec;
+use leo_geo::consts::EARTH_ROTATION_RAD_S;
 use leo_geo::coords::{Ecef, Eci};
 use leo_geo::{Angle, Epoch, Geodetic};
 use leo_orbit::propagate::ForceModel;
@@ -66,6 +67,14 @@ impl Snapshot {
             .enumerate()
             .map(|(i, &p)| (SatId(i as u32), p))
     }
+}
+
+/// The one propagation kernel behind [`Constellation::snapshot`] and
+/// [`Constellation::positions_of`]: a satellite's ECI position at `t`
+/// rotated into ECEF by the instant's Earth rotation `earth`.
+fn ecef_with(s: &Satellite, t: f64, earth: (f64, f64), memo: &mut RotationMemo) -> Ecef {
+    let eci = s.propagator.state_with(t, memo).position;
+    Ecef(eci.0.rotate_z_by(earth))
 }
 
 /// A generated constellation with per-shell structure preserved.
@@ -185,19 +194,62 @@ impl Constellation {
     /// rotation's trigonometry is computed once per instant and the
     /// orbital-plane rotations once per plane (see [`RotationMemo`]).
     pub fn snapshot(&self, t: f64) -> Snapshot {
-        let earth = (-leo_geo::gmst(self.epoch, t).radians()).sin_cos();
+        let earth = self.earth_rotation(t);
         let mut memo = RotationMemo::default();
         Snapshot {
             time_s: t,
             positions: self
                 .satellites
                 .iter()
-                .map(|s| {
-                    let eci = s.propagator.state_with(t, &mut memo).position;
-                    Ecef(eci.0.rotate_z_by(earth))
-                })
+                .map(|s| ecef_with(s, t, earth, &mut memo))
                 .collect(),
         }
+    }
+
+    /// ECEF positions of just the satellites `ids` at `t`, written to
+    /// `out` in `ids` order: entry `i` is bit-identical to
+    /// `snapshot(t).position(ids[i])`, whatever the order of `ids` (both
+    /// run the same per-satellite kernel). Ids sorted ascending share
+    /// each plane's rotation trigonometry, like a snapshot does.
+    pub fn positions_of(&self, t: f64, ids: &[SatId], out: &mut Vec<Ecef>) {
+        let earth = self.earth_rotation(t);
+        let mut memo = RotationMemo::default();
+        out.clear();
+        out.extend(
+            ids.iter()
+                .map(|&id| ecef_with(self.satellite(id), t, earth, &mut memo)),
+        );
+    }
+
+    /// `sin_cos` of the ECI → ECEF rotation angle at `t`.
+    fn earth_rotation(&self, t: f64) -> (f64, f64) {
+        (-leo_geo::gmst(self.epoch, t).radians()).sin_cos()
+    }
+
+    /// Per shell, an upper bound (rad/s) on how fast any of its
+    /// satellites' Earth-fixed direction — the unit vector from the
+    /// Earth's center — turns. The in-plane argument of latitude advances
+    /// at most `|n + Ṁ|·(1+e)²/(1−e²)^{3/2}` (the true-anomaly rate at
+    /// perigee; `|n + Ṁ|` on the circular shells) plus `|ω̇|`, the
+    /// orbital plane turns about the polar axis at `|Ω̇|`, and the Earth
+    /// under it at `ω⊕`; the sum carries a 1 % safety factor. So over any
+    /// interval `Δt` a satellite's sub-point moves through a central angle
+    /// of at most `bound · |Δt|`.
+    pub fn direction_rate_bounds(&self) -> Vec<f64> {
+        let mut bounds = vec![0.0f64; self.shells.len()];
+        for s in &self.satellites {
+            let e = s.propagator.elements();
+            let rates = s.propagator.rates();
+            let ecc = e.eccentricity;
+            let perigee_gain = (1.0 + ecc).powi(2) / (1.0 - ecc * ecc).powf(1.5);
+            let rate = (e.mean_motion_rad_s() + rates.mean_anomaly_dot).abs() * perigee_gain
+                + rates.arg_perigee_dot.abs()
+                + rates.raan_dot.abs()
+                + EARTH_ROTATION_RAD_S;
+            let b = &mut bounds[s.shell as usize];
+            *b = b.max(rate * 1.01);
+        }
+        bounds
     }
 
     /// ECI position of one satellite at `t`.
@@ -398,6 +450,90 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Central angle (radians) between two position vectors, accurate
+    /// at small angles where `acos` of the dot product is not.
+    fn central_angle(a: Ecef, b: Ecef) -> f64 {
+        let (a, b) = (a.0.normalized(), b.0.normalized());
+        a.cross(b).norm().atan2(a.dot(b))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn prop_positions_of_is_bit_identical_to_snapshot_in_any_order(
+            t in -20_000.0..1.0e7f64,
+            picks in proptest::collection::vec(0usize..1_000_000, 0..40),
+            order in 0u8..2,
+        ) {
+            for c in bit_identity_fixtures() {
+                let n = c.num_satellites();
+                let mut ids: Vec<SatId> = picks.iter().map(|&p| SatId((p % n) as u32)).collect();
+                if order == 1 {
+                    ids.sort();
+                    ids.reverse();
+                }
+                let snap = c.snapshot(t);
+                let mut out = vec![Ecef::new(1.0, 2.0, 3.0)];
+                c.positions_of(t, &ids, &mut out);
+                prop_assert_eq!(out.len(), ids.len());
+                for (&id, got) in ids.iter().zip(&out) {
+                    let want = snap.position(id).0;
+                    prop_assert!(
+                        [got.0.x, got.0.y, got.0.z].map(f64::to_bits)
+                            == [want.x, want.y, want.z].map(f64::to_bits),
+                        "{} {} at t={}", c.name(), id, t
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn prop_direction_rate_bound_holds_over_a_minute(
+            t in -10_000.0..1.0e6f64,
+            dt in -60.0..60.0f64,
+            pick in 0usize..1_000_000,
+        ) {
+            let mut fixtures: Vec<&Constellation> = bit_identity_fixtures().iter().collect();
+            fixtures.push(telesat());
+            for c in fixtures {
+                let bounds = c.direction_rate_bounds();
+                prop_assert_eq!(bounds.len(), c.shells().len());
+                for k in 0..8 {
+                    let id = SatId(((pick + k * 7_919) % c.num_satellites()) as u32);
+                    let a = c.position_ecef(id, t);
+                    let b = c.position_ecef(id, t + dt);
+                    let bound = bounds[c.satellite(id).shell as usize] * dt.abs();
+                    let angle = central_angle(a, b);
+                    prop_assert!(
+                        angle <= bound + 1e-12,
+                        "{} {}: turned {} rad in {} s, bound {}", c.name(), id, angle, dt, bound
+                    );
+                }
+            }
+        }
+    }
+
+    fn telesat() -> &'static Constellation {
+        static TELESAT: OnceLock<Constellation> = OnceLock::new();
+        TELESAT.get_or_init(presets::telesat)
+    }
+
+    #[test]
+    fn direction_rate_bound_is_tight_on_a_circular_shell() {
+        // The bound must not be so loose that a minute's window swallows
+        // the sky: a 550 km satellite's sub-point sweeps ~0.07 rad/min.
+        let c = presets::starlink_550_only();
+        let bound = c.direction_rate_bounds()[0];
+        let id = SatId(0);
+        let turned = central_angle(c.position_ecef(id, 0.0), c.position_ecef(id, 60.0));
+        assert!(turned <= bound * 60.0);
+        assert!(
+            bound * 60.0 < turned * 1.25,
+            "bound {bound} vs {turned} rad/min"
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod session;
 pub mod stats;
 
 pub use failover::{FailoverReport, FailureModel};
-pub use selection::{nearest_assignments, GroupDelays, Policy, StickyParams};
+pub use selection::{nearest_assignments, GroupDelays, GroupWatch, Policy, StickyParams};
 pub use service::{InOrbitService, SnapshotView};
 pub use session::{HandoffEvent, SessionConfig, SessionResult};
 pub use stats::Cdf;

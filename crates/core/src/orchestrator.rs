@@ -10,8 +10,9 @@
 //! trading latency for admission the way any capacity-constrained
 //! scheduler must.
 
-use crate::selection::GroupDelays;
+use crate::selection::GroupWatch;
 use crate::service::InOrbitService;
+use crate::session::SessionConfig;
 use leo_constellation::SatId;
 use leo_net::routing::GroundEndpoint;
 use serde::{Deserialize, Serialize};
@@ -89,7 +90,21 @@ pub fn orchestrate(
     groups: &[GroupSpec],
     config: &OrchestratorConfig,
 ) -> OrchestratorResult {
-    assert!(config.tick_s > 0.0 && config.slots_per_server > 0);
+    let sweep = SessionConfig {
+        start_s: config.start_s,
+        duration_s: config.duration_s,
+        tick_s: config.tick_s,
+    };
+    sweep.validate();
+    assert!(
+        config.slots_per_server > 0,
+        "slots_per_server > 0 required, got {}",
+        config.slots_per_server
+    );
+    let mut watches: Vec<GroupWatch> = groups
+        .iter()
+        .map(|g| GroupWatch::new(service, &g.users))
+        .collect();
     let mut current: Vec<Option<SatId>> = vec![None; groups.len()];
     let mut used: HashMap<SatId, u32> = HashMap::new();
     let mut outcomes: Vec<GroupOutcome> = groups
@@ -105,11 +120,10 @@ pub fn orchestrate(
     let mut rtt_sums = vec![0.0f64; groups.len()];
     let mut peak_slots = 0u64;
 
-    let ticks = (config.duration_s / config.tick_s).round() as usize;
-    for i in 0..=ticks {
+    for i in 0..=sweep.ticks() {
         let t = config.start_s + i as f64 * config.tick_s;
-        for (gi, group) in groups.iter().enumerate() {
-            let delays = GroupDelays::direct(service, &group.users, t);
+        for ((gi, group), watch) in groups.iter().enumerate().zip(&mut watches) {
+            let delays = watch.delays(t);
 
             // Keep the incumbent while servable.
             if let Some(cur) = current[gi] {
@@ -260,6 +274,26 @@ mod tests {
             assert_eq!(g.blocked_ticks, 0, "{} blocked — slot leak?", g.name);
             assert!(g.handoffs > 0, "{} never handed off", g.name);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "session duration must be finite and non-negative, got NaN")]
+    fn nan_duration_is_rejected() {
+        let cfg = OrchestratorConfig {
+            duration_s: f64::NAN,
+            ..config(4)
+        };
+        orchestrate(&service(), &[group("g", 10.0, 10.0, 1)], &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "tick must be positive and finite, got inf")]
+    fn infinite_tick_is_rejected() {
+        let cfg = OrchestratorConfig {
+            tick_s: f64::INFINITY,
+            ..config(4)
+        };
+        orchestrate(&service(), &[group("g", 10.0, 10.0, 1)], &cfg);
     }
 
     #[test]

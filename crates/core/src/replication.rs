@@ -14,7 +14,7 @@
 //! over) and quantifies the payoff: at hand-off time only the small
 //! session state moves on the critical path.
 
-use crate::selection::{sticky_select, GroupDelays, Policy};
+use crate::selection::{sticky_select, GroupWatch, Policy};
 use crate::service::InOrbitService;
 use leo_constellation::SatId;
 use leo_geo::consts::SPEED_OF_LIGHT_M_S;
@@ -57,13 +57,25 @@ pub fn predict_servers(
     horizon_s: f64,
     step_s: f64,
 ) -> Vec<ServingInterval> {
-    assert!(step_s > 0.0 && horizon_s > 0.0);
+    assert!(
+        start_s.is_finite(),
+        "prediction start must be finite, got {start_s}"
+    );
+    assert!(
+        horizon_s.is_finite() && horizon_s > 0.0,
+        "prediction horizon must be positive and finite, got {horizon_s}"
+    );
+    assert!(
+        step_s.is_finite() && step_s > 0.0,
+        "prediction step must be positive and finite, got {step_s}"
+    );
+    let mut watch = GroupWatch::new(service, users);
     let mut intervals: Vec<ServingInterval> = Vec::new();
     let mut current: Option<ServingInterval> = None;
     let steps = (horizon_s / step_s).round() as usize;
     for i in 0..=steps {
         let t = start_s + i as f64 * step_s;
-        let delays = GroupDelays::direct(service, users, t);
+        let delays = watch.delays(t);
         let desired = match (policy, &current) {
             (_, _) if delays.minmax().is_none() => None,
             (Policy::MinMax, _) => delays.minmax().map(|(s, _)| s),
@@ -495,6 +507,31 @@ mod tests {
         for i in &iv {
             assert!(i.duration_s() > 0.0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "prediction step must be positive and finite, got NaN")]
+    fn nan_prediction_step_is_rejected() {
+        predict_servers(&service(), &users(), Policy::MinMax, 0.0, 900.0, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "prediction horizon must be positive and finite, got inf")]
+    fn infinite_prediction_horizon_is_rejected() {
+        predict_servers(
+            &service(),
+            &users(),
+            Policy::MinMax,
+            0.0,
+            f64::INFINITY,
+            15.0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "prediction start must be finite, got NaN")]
+    fn nan_prediction_start_is_rejected() {
+        predict_servers(&service(), &users(), Policy::MinMax, f64::NAN, 900.0, 15.0);
     }
 
     #[test]

@@ -121,6 +121,19 @@ pub enum GroundFade {
     Outage,
 }
 
+impl GroundFade {
+    /// True when this fade closes the access link from `ground_ecef` to a
+    /// satellite at `sat_pos` — independent of the shell's own elevation
+    /// mask, which the caller has already applied.
+    pub fn masks_access_link(self, ground_ecef: Ecef, sat_pos: Ecef) -> bool {
+        match self {
+            GroundFade::Clear => false,
+            GroundFade::Outage => true,
+            GroundFade::MinElevation(e) => !look::is_visible_spherical(ground_ecef, sat_pos, e),
+        }
+    }
+}
+
 /// The per-instant outage mask the routing engine and visibility index
 /// consume. Dense over satellites, cheap to probe on hot paths.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -210,11 +223,7 @@ impl FaultPlan {
     /// elevation mask, which the caller has already applied, and of
     /// server death, which [`FaultPlan::sat_dead`] covers.
     pub fn access_link_masked(&self, ground_ecef: Ecef, sat_pos: Ecef) -> bool {
-        match self.fade {
-            GroundFade::Clear => false,
-            GroundFade::Outage => true,
-            GroundFade::MinElevation(e) => !look::is_visible_spherical(ground_ecef, sat_pos, e),
-        }
+        self.fade.masks_access_link(ground_ecef, sat_pos)
     }
 }
 
@@ -242,13 +251,27 @@ impl FaultConfig {
         self.schedule.is_none() && self.cut_links.is_empty() && self.rain.is_none()
     }
 
+    /// True when the satellite's server is dead at `t` — the one death
+    /// rule behind [`FaultConfig::plan_at`] and every per-satellite probe
+    /// that skips building a whole plan.
+    pub fn sat_dead_at(&self, sat: SatId, t: f64) -> bool {
+        self.schedule.as_ref().is_some_and(|s| !s.alive(sat, t))
+    }
+
+    /// The ground-segment restriction the scenario's rain imposes (the
+    /// same at every instant: the rain scenario is time-invariant).
+    pub fn ground_fade(&self) -> GroundFade {
+        self.rain
+            .map_or(GroundFade::Clear, |rain| rain.ground_fade())
+    }
+
     /// The outage mask at time `t`.
     pub fn plan_at(&self, t: f64) -> FaultPlan {
         let mut plan = FaultPlan::empty();
         if let Some(s) = &self.schedule {
             for i in 0..s.len() {
                 let id = SatId(i as u32);
-                if !s.alive(id, t) {
+                if self.sat_dead_at(id, t) {
                     plan.kill(id);
                 }
             }
@@ -256,9 +279,7 @@ impl FaultConfig {
         for &(a, b) in &self.cut_links {
             plan.cut_link(a, b);
         }
-        if let Some(rain) = &self.rain {
-            plan.set_ground_fade(rain.ground_fade());
-        }
+        plan.set_ground_fade(self.ground_fade());
         plan
     }
 }
@@ -379,6 +400,33 @@ mod tests {
         assert!(p.access_link_masked(g, low));
         p.set_ground_fade(GroundFade::Outage);
         assert!(p.access_link_masked(g, zenith), "outage masks even zenith");
+    }
+
+    #[test]
+    fn per_satellite_probes_agree_with_the_plan() {
+        let rain = RainFade {
+            budget: LinkBudget::CONSUMER,
+            rain_rate_mm_h: 17.0,
+        };
+        let cfg = FaultConfig {
+            schedule: Some(FailureSchedule::from_death_times(vec![
+                50.0,
+                f64::INFINITY,
+                200.0,
+            ])),
+            rain: Some(rain),
+            ..FaultConfig::default()
+        };
+        for t in [0.0, 49.9, 50.0, 199.0, 200.0, 1e9] {
+            let plan = cfg.plan_at(t);
+            for i in 0..5 {
+                let id = SatId(i);
+                assert_eq!(cfg.sat_dead_at(id, t), plan.sat_dead(id), "sat {i} at {t}");
+            }
+            assert_eq!(cfg.ground_fade(), plan.ground_fade());
+        }
+        assert_eq!(FaultConfig::none().ground_fade(), GroundFade::Clear);
+        assert!(!FaultConfig::none().sat_dead_at(SatId(0), 1e12));
     }
 
     #[test]
