@@ -123,3 +123,72 @@ fn lazy_isl_weights_equal_an_eager_refresh() {
         assert!(view.isl_weights().bits_eq(&eager), "{name}");
     }
 }
+
+#[test]
+fn transient_views_are_built_fresh_and_never_cached() {
+    let service = faulted();
+    let t = 95.0;
+    let (fresh, cached, again, misses, hits) = with_metrics(|| {
+        let (m0, h0) = (
+            counter("service.snapshot_misses"),
+            counter("service.snapshot_hits"),
+        );
+        let fresh = service.transient_view(t);
+        let cached = service.view(t);
+        let again = service.transient_view(t);
+        (
+            fresh,
+            cached,
+            again,
+            counter("service.snapshot_misses") - m0,
+            counter("service.snapshot_hits") - h0,
+        )
+    });
+    // The cached build is the second: the first transient one was not
+    // kept, and the last ignores the cached view.
+    assert_eq!(misses, 3, "every call builds");
+    assert_eq!(hits, 0);
+    let bits = |v: &leo_core::SnapshotView| -> Vec<[u64; 3]> {
+        v.snapshot()
+            .iter()
+            .map(|(_, p)| [p.0.x.to_bits(), p.0.y.to_bits(), p.0.z.to_bits()])
+            .collect()
+    };
+    for view in [&fresh, &again] {
+        assert_eq!(bits(view), bits(&cached));
+        assert_eq!(view.fault_plan(), cached.fault_plan());
+        assert!(view.isl_weights().bits_eq(cached.isl_weights()));
+    }
+}
+
+#[test]
+#[should_panic(expected = "view time must be finite")]
+fn transient_view_rejects_a_non_finite_time() {
+    faulted().transient_view(f64::INFINITY);
+}
+
+#[test]
+fn an_unrouted_copy_routes_like_its_view_and_leaves_it_unrouted() {
+    let users = [
+        GroundEndpoint::new(0, Geodetic::ground(9.06, 7.49)),
+        GroundEndpoint::new(1, Geodetic::ground(3.87, 11.52)),
+    ];
+    let service = faulted();
+    let t = 1_210.0;
+    let (on_copy, after_copy, on_view, after_view, same_weights) = with_metrics(|| {
+        let r0 = counter("service.isl_refreshes");
+        let view = service.view(t);
+        let copy = view.unrouted_copy();
+        let on_copy = service.migration_delay_view(&copy, &users, SatId(1), SatId(700));
+        let after_copy = counter("service.isl_refreshes") - r0;
+        let on_view = service.migration_delay_view(&view, &users, SatId(1), SatId(700));
+        let after_view = counter("service.isl_refreshes") - r0;
+        let same = copy.isl_weights().bits_eq(view.isl_weights());
+        (on_copy, after_copy, on_view, after_view, same)
+    });
+    assert!(on_copy.is_some(), "the two satellites are connected");
+    assert_eq!(on_copy.map(f64::to_bits), on_view.map(f64::to_bits));
+    assert_eq!(after_copy, 1, "the copy refreshes its own weights");
+    assert_eq!(after_view, 2, "routing the copy left the view unrouted");
+    assert!(same_weights);
+}
