@@ -38,7 +38,7 @@ fn main() {
         "{:<24} {:>14} {:>14}",
         "site/climate", "consumer 8dB", "gateway 16dB"
     );
-    let snap = service.snapshot(0.0);
+    let view = service.view(0.0);
     for (name, lat, lon, climate) in [
         ("Lagos/tropical", 6.52, 3.38, RainClimate::TROPICAL),
         ("Singapore/tropical", 1.35, 103.82, RainClimate::TROPICAL),
@@ -48,9 +48,11 @@ fn main() {
         let ground = Geodetic::ground(lat, lon);
         let ge = ground.to_ecef_spherical();
         let els: Vec<_> = service
-            .reachable_servers_in(&snap, ground)
+            .reachable_servers(ground, 0.0)
             .iter()
-            .map(|v| leo_geo::LookAngles::compute(ground, ge, snap.position(v.id)).elevation)
+            .map(|v| {
+                leo_geo::LookAngles::compute(ground, ge, view.snapshot().position(v.id)).elevation
+            })
             .collect();
         let c = site_availability(&LinkBudget::CONSUMER, &climate, &els);
         let g = site_availability(&LinkBudget::GATEWAY, &climate, &els);

@@ -4,9 +4,10 @@
 //! Synthesizes a population-weighted user set from the world-cities
 //! catalog, shards it by latitude band, and answers every user at every
 //! instant of the schedule through `leo-serve`'s **frontier-primary**
-//! path: one settled satellite-major pass per shard per snapshot,
-//! warm-started across snapshots, instead of one visibility scan per
-//! user. Identities asserted in-binary on every run (grepped by CI):
+//! path: one cold settled satellite-major pass per shard per snapshot
+//! (every satellite moves between two instants, so nothing carries
+//! over), instead of one visibility scan per user. Identities asserted
+//! in-binary on every run (grepped by CI):
 //!
 //! - the delta weight refresh is bit-identical to the full refresh at
 //!   every snapshot, chained across the sweep;
@@ -37,7 +38,9 @@ use leo_serve::{synthesize_users, ServeConfig, ServeEngine, SweepReport, USER_SE
 
 /// Snapshot spacing. One minute of orbital motion moves every +Grid
 /// edge, so the sweep's delta refreshes exercise the worst (dense) case;
-/// the repeated-instant fast path is covered by the serve test suite.
+/// a repeated instant, where the delta refresh recomputes no edge, is
+/// covered by the serve test suite. Every snapshot settles cold either
+/// way.
 const STEP_S: f64 = 60.0;
 
 /// Degrees of uniform scatter around each user's city anchor.

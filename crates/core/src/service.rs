@@ -7,7 +7,7 @@ use leo_net::engine::{with_thread_arena, GroundLinks, IslWeights, RoutingEngine}
 use leo_net::fault::{FaultConfig, FaultPlan};
 use leo_net::frontier::{self, BandSet, GroundSet, NearestState};
 use leo_net::routing::{self, GroundEndpoint};
-use leo_net::visibility::{self, VisibleSat};
+use leo_net::visibility::VisibleSat;
 use leo_net::{IslTopology, NetworkGraph, VisibilityIndex};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -163,9 +163,9 @@ impl SnapshotView {
     /// visible (non-faulted) server for every point, in the caller's
     /// point order — bit-identical to running
     /// [`InOrbitService::nearest_servers_view`] over the same points, at
-    /// a fraction of the candidate scans. The settled labels stay in
-    /// `state` for [`SnapshotView::refresh_nearest_servers`] at the next
-    /// instant. Fault-plan aware through the view, like every query.
+    /// a fraction of the candidate scans. `state` holds the pass's
+    /// labels and is reset on entry. Fault-plan aware through the view,
+    /// like every query.
     pub fn settle_nearest_servers(
         &self,
         set: &GroundSet,
@@ -173,22 +173,6 @@ impl SnapshotView {
         out: &mut Vec<Option<VisibleSat>>,
     ) {
         frontier::settle_nearest(&self.index, set, self.fault_plan(), state, out);
-    }
-
-    /// Warm-started refresh of a frontier settled at an earlier instant:
-    /// valid when this view's snapshot differs from the settled one by
-    /// exactly the satellites flagged in `moved` (bitwise position
-    /// compare) under an equal fault plan — then bit-identical to a cold
-    /// [`SnapshotView::settle_nearest_servers`]. Callers are expected to
-    /// verify both preconditions and fall back to a cold settle.
-    pub fn refresh_nearest_servers(
-        &self,
-        set: &GroundSet,
-        moved: &[bool],
-        state: &mut NearestState,
-        out: &mut Vec<Option<VisibleSat>>,
-    ) {
-        frontier::refresh_nearest(&self.index, set, self.fault_plan(), moved, state, out);
     }
 
     /// Full candidate lists for one latitude band of prepared points via
@@ -388,27 +372,6 @@ impl InOrbitService {
         }
     }
 
-    /// Same as [`InOrbitService::reachable_servers`] against a prebuilt
-    /// snapshot (avoids re-propagating when the caller already has one).
-    pub fn reachable_servers_in(&self, snapshot: &Snapshot, ground: Geodetic) -> Vec<VisibleSat> {
-        let ge = ground.to_ecef_spherical();
-        match self.plan_in(snapshot) {
-            Some(plan) => {
-                visibility::visible_sats_masked(&self.constellation, snapshot, ground, ge, &plan)
-            }
-            None => visibility::visible_sats(&self.constellation, snapshot, ground, ge),
-        }
-    }
-
-    /// The fault plan governing a prebuilt snapshot: the service's
-    /// scenario evaluated at the snapshot's own instant. `None` for a
-    /// plain service, so unmasked paths stay exactly as before.
-    fn plan_in(&self, snapshot: &Snapshot) -> Option<FaultPlan> {
-        self.faults
-            .as_deref()
-            .map(|cfg| cfg.plan_at(snapshot.time_s))
-    }
-
     /// The full `HashMap`-backed network graph at a snapshot with the
     /// given ground endpoints attached — the reference oracle the CSR
     /// engine is checked against. Unmasked by any fault plan; no
@@ -578,6 +541,16 @@ mod tests {
         InOrbitService::new(presets::starlink_550_only())
     }
 
+    /// The brute-force oracle: every satellite tested, no index, no plan.
+    fn brute_force(s: &InOrbitService, view: &SnapshotView, g: Geodetic) -> Vec<VisibleSat> {
+        leo_net::visibility::visible_sats(
+            s.constellation(),
+            view.snapshot(),
+            g,
+            g.to_ecef_spherical(),
+        )
+    }
+
     #[test]
     fn server_count_equals_satellite_count() {
         let s = service();
@@ -648,7 +621,7 @@ mod tests {
             .iter()
             .map(|u| {
                 let mut row = vec![f64::INFINITY; s.num_servers()];
-                for v in s.reachable_servers_in(view.snapshot(), u.geodetic) {
+                for v in brute_force(&s, &view, u.geodetic) {
                     row[v.id.0 as usize] = v.delay_s();
                 }
                 row
@@ -704,11 +677,6 @@ mod tests {
         };
         let s = InOrbitService::with_faults(presets::starlink_550_only(), cfg);
         assert!(s.reachable_servers(g, 0.0).iter().all(|v| v.id != victim));
-        let snap = s.snapshot(0.0);
-        assert!(s
-            .reachable_servers_in(&snap, g)
-            .iter()
-            .all(|v| v.id != victim));
         let view = s.view(0.0);
         assert_eq!(s.server_to_server_delay_view(&view, SatId(0), victim), None);
         let users = [GroundEndpoint::new(0, g)];
@@ -747,7 +715,7 @@ mod tests {
         let s = service();
         let g = Geodetic::ground(0.0, 0.0);
         let view = s.view(0.0);
-        let direct = s.reachable_servers_in(view.snapshot(), g);
+        let direct = brute_force(&s, &view, g);
         let users = [GroundEndpoint::new(0, g)];
         let delays = &s.user_delays_view(&view, &users)[0];
         for v in direct {
@@ -763,7 +731,7 @@ mod tests {
         let view = s.view(150.0);
         let user = GroundEndpoint::new(0, Geodetic::ground(12.0, 77.0));
         let nearest = s.nearest_server_view(&view, &user).unwrap();
-        let all = s.reachable_servers_in(view.snapshot(), user.geodetic);
+        let all = brute_force(&s, &view, user.geodetic);
         let best = all.iter().map(|v| v.range_m).fold(f64::INFINITY, f64::min);
         assert_eq!(nearest.range_m, best);
         // Batched answers equal the one-by-one answers, in input order.
@@ -876,7 +844,7 @@ mod tests {
             }
         }
         for (u, g) in users.iter().zip(got) {
-            let mut want = s.reachable_servers_in(view.snapshot(), u.geodetic);
+            let mut want = brute_force(&s, &view, u.geodetic);
             want.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
             assert_eq!(g.expect("every user banded"), want);
         }

@@ -1,7 +1,7 @@
 //! Satellite-major settled frontier: one arg-min pass per ground set
 //! per snapshot instead of one visibility scan per ground point.
 //!
-//! [`VisibilityIndex`](crate::index::VisibilityIndex) answers *"which
+//! [`VisibilityIndex`] answers *"which
 //! satellites can this point see?"* one point at a time, scanning the
 //! point's whole latitude window (hundreds of candidates at Starlink
 //! scale) per query. The serving layer asks the transposed question at
@@ -15,7 +15,7 @@
 //! The result is *bit-identical* to the per-point scans, by
 //! construction rather than by luck:
 //!
-//! - The candidate window ([`VisibilityIndex::shell_windows`]) and the
+//! - The candidate window (`VisibilityIndex::shell_windows`) and the
 //!   longitude wedge are conservative prunes — provable supersets of
 //!   every pair the per-point scan would accept (the wedge bound is
 //!   derived below; every cut carries an explicit epsilon margin).
@@ -36,13 +36,12 @@
 //! longitude wedge around the sub-satellite point. Points are kept
 //! longitude-sorted, so a wedge is one or two contiguous slices.
 //!
-//! A settled frontier also supports **warm-started refreshes**: when
-//! only a subset of satellites moved between snapshots (and the fault
-//! plan is unchanged), [`refresh_nearest`] re-derives exactly the
-//! answers that could have changed — points whose winner moved rescan
-//! their candidates, and the moved satellites re-challenge everyone —
-//! and is bit-identical to a cold [`settle_nearest`] because both
-//! compute the same arg-min over the same candidate set.
+//! Both settles — the arg-min [`settle_nearest`] and the full
+//! [`settle_visible_lists`] — share one pass (candidates, wedge,
+//! prefilter, exact tests, fault mask) and differ only in what they do
+//! with a visible pair. Every settle starts cold: between two distinct
+//! instants every LEO satellite moves, so no label carries over from
+//! one snapshot to the next.
 
 use crate::fault::FaultPlan;
 use crate::index::{geocentric_latitude, VisibilityIndex};
@@ -172,9 +171,10 @@ impl GroundSet {
     }
 }
 
-/// Persistent arg-min labels of one [`GroundSet`] — the settled
-/// frontier. Kept in the set's longitude order; reused across
-/// snapshots by [`refresh_nearest`].
+/// Arg-min labels of one cold settle over a [`GroundSet`] — the settled
+/// frontier, in the set's longitude order. [`settle_nearest`] resets
+/// them on entry and nothing reads them across snapshots: the serve
+/// sweep settles each shard into a state of its own once per snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct NearestState {
     /// Winning slant range per point (`INFINITY` = no server).
@@ -189,6 +189,16 @@ impl NearestState {
         self.best_range.resize(n, f64::INFINITY);
         self.best_id.clear();
         self.best_id.resize(n, u32::MAX);
+    }
+
+    /// The serving layer's exact preference: smallest slant range wins,
+    /// exact range ties break to the lower satellite id.
+    #[inline]
+    fn challenge(&mut self, j: usize, range: f64, id: u32) {
+        if range < self.best_range[j] || (range == self.best_range[j] && id < self.best_id[j]) {
+            self.best_range[j] = range;
+            self.best_id[j] = id;
+        }
     }
 }
 
@@ -214,12 +224,6 @@ impl Drop for PassTally {
     }
 }
 
-/// An empty plan masks nothing; treat it exactly like no plan (the
-/// per-point scans delegate the same way).
-fn effective_plan(plan: Option<&FaultPlan>) -> Option<&FaultPlan> {
-    plan.filter(|p| !p.is_empty())
-}
-
 /// Cold settle: the nearest visible (non-faulted) server for every
 /// point of `set`, written to `out` in the caller's point order —
 /// bit-identical to running the serving layer's per-point
@@ -234,61 +238,19 @@ pub fn settle_nearest(
     let _span = leo_obs::span!("engine.frontier.settle_s");
     leo_obs::counter!("engine.frontier.settles").incr();
     state.reset(set.len());
-    challenge(index, set, effective_plan(plan), None, state);
-    scatter(set, state, out);
-}
-
-/// Warm-started refresh of a settled frontier when only the satellites
-/// flagged in `moved` changed position since the settle that produced
-/// `state` — under the **same** fault plan and the same point set.
-///
-/// Two phases, together bit-identical to a cold settle: points whose
-/// recorded winner moved (their label is stale) rescan their own
-/// candidates among the *unmoved* satellites; then every moved
-/// satellite re-challenges the whole set satellite-major. Unmoved
-/// satellites' ranges are bitwise unchanged, so every other label is
-/// still the arg-min over the unmoved candidates, and the arg-min
-/// comparison is scan-order independent — the two phases reconstruct
-/// exactly the full arg-min. With `moved` all-false this reduces to a
-/// scatter of the prior labels (the cross-snapshot reuse fast path).
-pub fn refresh_nearest(
-    index: &VisibilityIndex,
-    set: &GroundSet,
-    plan: Option<&FaultPlan>,
-    moved: &[bool],
-    state: &mut NearestState,
-    out: &mut Vec<Option<VisibleSat>>,
-) {
-    assert_eq!(
-        state.best_id.len(),
-        set.len(),
-        "refresh_nearest needs a previously settled state for this set"
-    );
-    let _span = leo_obs::span!("engine.frontier.refresh_s");
-    leo_obs::counter!("engine.frontier.refreshes").incr();
-    let plan = effective_plan(plan);
-    let mut dirty = 0u64;
+    for_each_visible_pair(index, set, plan, |j, id, range| {
+        state.challenge(j, range, id.0)
+    });
+    out.clear();
+    out.resize(set.len(), None);
     for j in 0..set.len() {
-        let id = state.best_id[j];
-        if id != u32::MAX && moved[id as usize] {
-            dirty += 1;
-            state.best_range[j] = f64::INFINITY;
-            state.best_id[j] = u32::MAX;
-            let ge = set.ecef[j];
-            let consider = |v: VisibleSat| {
-                if !moved[v.id.0 as usize] {
-                    challenge_point(state, j, v.range_m, v.id.0);
-                }
-            };
-            match plan {
-                Some(p) => index.for_each_visible_masked(ge, p, consider),
-                None => index.for_each_visible(ge, consider),
-            }
+        if state.best_id[j] != u32::MAX {
+            out[set.orig[j] as usize] = Some(VisibleSat {
+                id: SatId(state.best_id[j]),
+                range_m: state.best_range[j],
+            });
         }
     }
-    leo_obs::counter!("engine.frontier.dirty_rescans").add(dirty);
-    challenge(index, set, plan, Some(moved), state);
-    scatter(set, state, out);
 }
 
 /// The full candidate lists variant: every visible (non-faulted)
@@ -306,68 +268,35 @@ pub fn settle_visible_lists(
     leo_obs::counter!("engine.frontier.list_settles").incr();
     out.clear();
     out.resize_with(set.len(), Vec::new);
-    if set.is_empty() {
-        return;
-    }
-    let plan = effective_plan(plan);
-    let mut tally = PassTally::default();
-    for sh in index.shell_windows(set.lat_lo, set.lat_hi) {
-        let max_r2s = sh.max_range_m * sh.max_range_m * (1.0 + RANGE2_SLACK);
-        for &(id, pos) in sh.entries {
-            if plan.is_some_and_dead(id) {
-                continue;
-            }
-            tally.candidates += 1;
-            let half = wedge_half_width(set, pos, sh.max_range_m);
-            set.for_each_in_wedge(pos.0.y.atan2(pos.0.x), half, |j| {
-                let ge = set.ecef[j];
-                tally.pairs_tested += 1;
-                if (ge.0 - pos.0).norm_squared() > max_r2s {
-                    return;
-                }
-                tally.pairs_exact += 1;
-                let range = ge.distance_m(pos);
-                if range <= sh.max_range_m && look::is_visible_spherical(ge, pos, sh.min_elevation)
-                {
-                    if let Some(p) = plan {
-                        if p.access_link_masked(ge, pos) {
-                            tally.masked_links += 1;
-                            return;
-                        }
-                    }
-                    out[set.orig[j] as usize].push(VisibleSat { id, range_m: range });
-                }
-            });
-        }
-    }
+    for_each_visible_pair(index, set, plan, |j, id, range_m| {
+        out[set.orig[j] as usize].push(VisibleSat { id, range_m })
+    });
     for cands in out.iter_mut() {
         cands.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
     }
 }
 
-/// Satellite-major arg-min pass over `set`: every candidate satellite
-/// (restricted to `only_moved` when given) challenges the points in its
-/// longitude wedge. Exact per-pair tests; order-independent updates.
-fn challenge(
+/// The satellite-major pass both settles share: every live candidate
+/// satellite challenges the points in its longitude wedge, and each pair
+/// that passes the exact range, elevation and fade tests goes to
+/// `hit(j, id, range_m)`, `j` in the set's longitude order. An empty
+/// plan masks nothing and is treated exactly like no plan, as the
+/// per-point scans do.
+fn for_each_visible_pair(
     index: &VisibilityIndex,
     set: &GroundSet,
     plan: Option<&FaultPlan>,
-    only: Option<&[bool]>,
-    state: &mut NearestState,
+    mut hit: impl FnMut(usize, SatId, f64),
 ) {
     if set.is_empty() {
         return;
     }
+    let plan = plan.filter(|p| !p.is_empty());
     let mut tally = PassTally::default();
     for sh in index.shell_windows(set.lat_lo, set.lat_hi) {
         let max_r2s = sh.max_range_m * sh.max_range_m * (1.0 + RANGE2_SLACK);
         for &(id, pos) in sh.entries {
-            if let Some(flags) = only {
-                if !flags[id.0 as usize] {
-                    continue;
-                }
-            }
-            if plan.is_some_and_dead(id) {
+            if plan.is_some_and(|p| p.sat_dead(id)) {
                 continue;
             }
             tally.candidates += 1;
@@ -388,32 +317,8 @@ fn challenge(
                             return;
                         }
                     }
-                    challenge_point(state, j, range, id.0);
+                    hit(j, id, range);
                 }
-            });
-        }
-    }
-}
-
-/// The serving layer's exact preference: smallest slant range wins,
-/// exact range ties break to the lower satellite id.
-#[inline]
-fn challenge_point(state: &mut NearestState, j: usize, range: f64, id: u32) {
-    if range < state.best_range[j] || (range == state.best_range[j] && id < state.best_id[j]) {
-        state.best_range[j] = range;
-        state.best_id[j] = id;
-    }
-}
-
-/// Writes the settled labels back in the caller's point order.
-fn scatter(set: &GroundSet, state: &NearestState, out: &mut Vec<Option<VisibleSat>>) {
-    out.clear();
-    out.resize(set.len(), None);
-    for j in 0..set.len() {
-        if state.best_id[j] != u32::MAX {
-            out[set.orig[j] as usize] = Some(VisibleSat {
-                id: SatId(state.best_id[j]),
-                range_m: state.best_range[j],
             });
         }
     }
@@ -452,17 +357,6 @@ fn wedge_half_width(set: &GroundSet, pos: Ecef, max_range_m: f64) -> f64 {
         return PI;
     }
     (1.0 - t).clamp(-1.0, 1.0).acos() + WEDGE_EPS_RAD
-}
-
-/// Convenience trait: `plan.is_some_and_dead(id)` without unwrapping.
-trait PlanExt {
-    fn is_some_and_dead(&self, id: SatId) -> bool;
-}
-
-impl PlanExt for Option<&FaultPlan> {
-    fn is_some_and_dead(&self, id: SatId) -> bool {
-        self.is_some_and(|p| p.sat_dead(id))
-    }
 }
 
 /// Ground points grouped into latitude bands, each prepared as a
@@ -688,76 +582,6 @@ mod tests {
         let mut lists = Vec::new();
         settle_visible_lists(&index, &set, None, &mut lists);
         assert!(lists.is_empty());
-    }
-
-    #[test]
-    fn refresh_with_nothing_moved_reuses_the_settled_labels() {
-        let c = presets::starlink_550_only();
-        let snap = c.snapshot(90.0);
-        let index = VisibilityIndex::build(&c, &snap);
-        let pts = grounds(300);
-        let set = GroundSet::build(&pts);
-        let mut state = NearestState::default();
-        let (mut cold, mut warm) = (Vec::new(), Vec::new());
-        settle_nearest(&index, &set, None, &mut state, &mut cold);
-        let moved = vec![false; snap.len()];
-        refresh_nearest(&index, &set, None, &moved, &mut state, &mut warm);
-        assert_bitwise_eq(&cold, &warm);
-    }
-
-    #[test]
-    fn incremental_refresh_is_bit_identical_to_a_cold_settle() {
-        // Settle at t0, move a subset of satellites (t1 positions), then
-        // refresh incrementally — must equal a cold settle at t1.
-        let c = presets::starlink_550_only();
-        let snap0 = c.snapshot(300.0);
-        let mut snap1 = c.snapshot(300.0);
-        let moved_ids: Vec<usize> = (0..snap1.len()).step_by(5).collect();
-        let t1 = c.snapshot(360.0);
-        let mut moved = vec![false; snap1.len()];
-        for &i in &moved_ids {
-            snap1.positions[i] = t1.positions[i];
-            moved[i] = true;
-        }
-        let index0 = VisibilityIndex::build(&c, &snap0);
-        let index1 = VisibilityIndex::build(&c, &snap1);
-        let pts = grounds(400);
-        let set = GroundSet::build(&pts);
-        let mut state = NearestState::default();
-        let (mut out0, mut warm, mut cold) = (Vec::new(), Vec::new(), Vec::new());
-        settle_nearest(&index0, &set, None, &mut state, &mut out0);
-        refresh_nearest(&index1, &set, None, &moved, &mut state, &mut warm);
-        let mut cold_state = NearestState::default();
-        settle_nearest(&index1, &set, None, &mut cold_state, &mut cold);
-        assert_bitwise_eq(&warm, &cold);
-    }
-
-    #[test]
-    fn incremental_refresh_under_a_plan_matches_cold_settle() {
-        let c = presets::starlink_550_only();
-        let snap0 = c.snapshot(0.0);
-        let mut snap1 = c.snapshot(0.0);
-        let t1 = c.snapshot(60.0);
-        let mut moved = vec![false; snap1.len()];
-        for i in (0..snap1.len()).step_by(3) {
-            snap1.positions[i] = t1.positions[i];
-            moved[i] = true;
-        }
-        let mut plan = FaultPlan::empty();
-        for i in (0..snap1.len() as u32).step_by(11) {
-            plan.kill(SatId(i));
-        }
-        let index0 = VisibilityIndex::build(&c, &snap0);
-        let index1 = VisibilityIndex::build(&c, &snap1);
-        let pts = grounds(350);
-        let set = GroundSet::build(&pts);
-        let mut state = NearestState::default();
-        let (mut out0, mut warm, mut cold) = (Vec::new(), Vec::new(), Vec::new());
-        settle_nearest(&index0, &set, Some(&plan), &mut state, &mut out0);
-        refresh_nearest(&index1, &set, Some(&plan), &moved, &mut state, &mut warm);
-        let mut cold_state = NearestState::default();
-        settle_nearest(&index1, &set, Some(&plan), &mut cold_state, &mut cold);
-        assert_bitwise_eq(&warm, &cold);
     }
 
     #[test]

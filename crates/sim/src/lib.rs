@@ -42,7 +42,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    assert!(threads > 0);
+    assert!(threads > 0, "parallel_map needs at least 1 thread, got 0");
     let n = items.len();
     if n == 0 {
         return Vec::new();
@@ -361,6 +361,12 @@ mod tests {
         .expect_err("worker panic must propagate");
         let msg = caught.downcast_ref::<String>().expect("formatted message");
         assert_eq!(msg, "odd item 1");
+    }
+
+    #[test]
+    #[should_panic(expected = "parallel_map needs at least 1 thread")]
+    fn parallel_map_rejects_zero_threads() {
+        parallel_map(vec![1, 2], 0, |&x: &i32| x);
     }
 
     #[test]

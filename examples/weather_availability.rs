@@ -26,13 +26,17 @@ fn main() {
         let ground = Geodetic::ground(lat, lon);
         let ground_ecef = ground.to_ecef_spherical();
         // Elevations of all currently reachable satellites.
-        let snap = service.snapshot(0.0);
+        let view = service.view(0.0);
         let elevations: Vec<Angle> = service
-            .reachable_servers_in(&snap, ground)
+            .reachable_servers(ground, 0.0)
             .iter()
             .map(|v| {
-                in_orbit::geo::LookAngles::compute(ground, ground_ecef, snap.position(v.id))
-                    .elevation
+                in_orbit::geo::LookAngles::compute(
+                    ground,
+                    ground_ecef,
+                    view.snapshot().position(v.id),
+                )
+                .elevation
             })
             .collect();
         let consumer = site_availability(&LinkBudget::CONSUMER, &climate, &elevations);
